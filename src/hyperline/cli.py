@@ -243,10 +243,26 @@ def render(doc: dict, output_format: str) -> str:
     return out.getvalue().rstrip("\n")
 
 
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+
+
+def _attach_negative_values(argv):
+    """argparse reads a value such as -87,32 or -1/2 as an option unless it
+    is attached to its option, so pass `--coeffs -87,32` as `--coeffs=-87,32`."""
+    out = []
+    for token in argv:
+        if (out and out[-1].startswith("--") and len(out[-1]) > 2
+                and "=" not in out[-1] and _NEGATIVE_VALUE.match(token)):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def run(argv) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_values(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     _apply_defaults(args)

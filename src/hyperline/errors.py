@@ -22,6 +22,11 @@ class OutOfRange(UnlimitedValue):
     """Standard-part extraction attempted outside the limited range."""
 
 
+class IdentityViolated(HyperlineError, ArithmeticError):
+    """An exact identity a computation relies on failed to hold, such as a
+    division that must leave no remainder."""
+
+
 class DivisionByZeroAtIndex(HyperlineError):
     def __init__(self, index):
         super().__init__(f"division by zero at index {index}")

@@ -38,20 +38,22 @@ def perfect_powers(limit: int) -> List[int]:
     return sorted(found)
 
 
+def _integer_root(k: int, exponent: int) -> int:
+    """floor(k^(1/exponent)) for k >= 1, in integers: isqrt for squares,
+    otherwise Newton's iteration down from a power of two above the root."""
+    if exponent == 2:
+        return isqrt(k)
+    root = 1 << -(-k.bit_length() // exponent)
+    while True:
+        lower = ((exponent - 1) * root + k // root ** (exponent - 1)) // exponent
+        if lower >= root:
+            return root
+        root = lower
+
+
 def is_perfect_power(k: int) -> bool:
-    if k < 4:
-        return False
-    exponent = 2
-    while (1 << exponent) <= k:
-        root = round(k ** (1.0 / exponent))
-        while root >= 2 and root ** exponent > k:
-            root -= 1
-        while (root + 1) ** exponent <= k:
-            root += 1
-        if root >= 2 and root ** exponent == k:
-            return True
-        exponent += 1
-    return False
+    return k >= 4 and any(_integer_root(k, e) ** e == k
+                          for e in range(2, k.bit_length()))
 
 
 def _sum_reciprocals(values) -> Fraction:
@@ -85,8 +87,9 @@ def tail_bound(limit: int) -> Fraction:
 
     Bases above s = isqrt(limit) contribute at most 2/(m^2-1) each, and the
     telescoping sum of 2/(m^2-1) over m > s is 1/s + 1/(s+1); the factor 2
-    absorbs the higher powers of every base.  Validated against brute-force
-    enumeration in the test suite.
+    is meant to absorb the higher powers of every base, which is not proven.
+    As the whole sum is 1, the tests check 0 < 1 - partial_sum(L) <= bound
+    exactly for every L in [4, 2*10^5).
     """
     if limit < 4:
         raise ValueError("limit must be >= 4")
@@ -150,13 +153,14 @@ def euler_sieve(depth: int, steps: int) -> SieveReport:
     Each step picks the smallest integer in [2, depth] not yet covered by a
     previous base's powers (necessarily not a perfect power), removes its
     whole geometric series, and records the exact contribution 1/(m-1) and a
-    bound on the tail truncated beyond depth.  The residual is what is left
-    of H(depth) after subtracting the contributions and the untouched terms;
-    widened by the tracked tails it must contain 1.
+    bound on the tail truncated beyond depth.  The residual is H(depth) less
+    the contributions and the untouched terms, that is 1 plus the covered
+    terms less the contributions; widened by the tails it must contain 1.
     """
     if steps < 1 or depth < steps:
         raise ValueError("need depth >= steps >= 1")
     covered = bytearray(depth + 1)
+    covered_values: List[int] = []
     sieve_steps: List[SieveStep] = []
     candidate = 2
     for _ in range(steps):
@@ -169,15 +173,14 @@ def euler_sieve(depth: int, steps: int) -> SieveReport:
         largest_exp = 0
         while value <= depth:
             covered[value] = 1
+            covered_values.append(value)
             largest_exp += 1
             value *= m
         contribution = Fraction(1, m - 1)
         tail = Fraction(1, (m - 1) * m ** (largest_exp - 1))
         sieve_steps.append(SieveStep(m, contribution, tail))
-    harmonic_total = _sum_reciprocals(range(1, depth + 1))
-    uncovered = _sum_reciprocals(k for k in range(2, depth + 1) if not covered[k])
     contributions = sum((s.contribution for s in sieve_steps), Fraction(0))
-    residual = harmonic_total - contributions - uncovered
+    residual = 1 + _sum_reciprocals(covered_values) - contributions
     slack = sum((s.tail for s in sieve_steps), Fraction(0))
     return SieveReport(
         steps=sieve_steps,

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, isqrt
+from math import ceil, factorial, isqrt, lcm
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from .errors import (PrecisionExhausted, RadiusViolation, SearchExhausted,
-                     ZeroLeadingCoefficient, ZeroRoot)
+from .errors import (IdentityViolated, PrecisionExhausted, RadiusViolation,
+                     SearchExhausted, ZeroLeadingCoefficient, ZeroRoot)
 from .intervals import Interval
 
 
@@ -48,39 +48,32 @@ class IntPolynomial:
     def coeff(self, exponent: int) -> int:
         return self.coefficients.get(exponent, 0)
 
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        result: Dict[int, int] = {}
-        for e1, c1 in self.coefficients.items():
-            for e2, c2 in other.coefficients.items():
-                result[e1 + e2] = result.get(e1 + e2, 0) + c1 * c2
-        return IntPolynomial(result)
-
-    def pow(self, k: int) -> "IntPolynomial":
-        result = IntPolynomial({0: 1})
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
 
 def poly_expand_f(n: int, p: int) -> IntPolynomial:
     """Exact expansion of x^(p-1) * product_{j=1..n} (x - j)^p.
 
     The lowest nonzero exponent is p-1 and its coefficient is ((-1)^n n!)^p.
+    The coefficients P_k of A(x)^p, A = sum a_i x^i = prod (x - j), follow
+    J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7), each division
+    checked exact: k a_0 P_k = sum_{i=1..min(n,k)} ((p+1) i - k) a_i P_{k-i}.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if p < 2 or not _is_prime(p):
         raise ValueError("p must be a prime >= 2")
-    product = IntPolynomial({0: 1})
+    a = [1]
     for j in range(1, n + 1):
-        product = product * IntPolynomial({1: 1, 0: -j})
-    product = product.pow(p)
-    shifted = {e + p - 1: c for e, c in product.coefficients.items()}
-    return IntPolynomial(shifted)
+        a = [(a[i - 1] if i else 0) - j * (a[i] if i < len(a) else 0)
+             for i in range(len(a) + 1)]
+    powers = [a[0] ** p]  # a_0 = (-1)^n n! != 0
+    for k in range(1, n * p + 1):
+        total = sum(((p + 1) * i - k) * a[i] * powers[k - i]
+                    for i in range(1, min(n, k) + 1))
+        quotient, remainder = divmod(total, k * a[0])
+        if remainder:
+            raise IdentityViolated(f"Miller step {k} of A^{p} is not exact")
+        powers.append(quotient)
+    return IntPolynomial({e + p - 1: c for e, c in enumerate(powers)})
 
 
 def elem_sym(values: List[Fraction], m: int) -> Fraction:
@@ -128,34 +121,33 @@ def _next_prime(p: int) -> int:
     return candidate
 
 
-def _taylor_shift(poly: IntPolynomial, k: int) -> IntPolynomial:
-    """q(u) = poly(u + k) via binomial expansion of each monomial."""
-    result: Dict[int, int] = {}
-    for e, c in poly.coefficients.items():
-        binom = 1
-        for j in range(e, -1, -1):
-            # contribution c * C(e, j) * k^(e-j) to u^j
-            result[j] = result.get(j, 0) + c * binom * k ** (e - j)
-            binom = binom * j // (e - j + 1)
-    return IntPolynomial(result)
+def hermite_Ms(n: int, p: int) -> List[int]:
+    """[M_0, ..., M_n] from one expansion f(x) = sum_e c_e x^e.
+
+    int_0^inf g(u) e^-u du = sum_j g^(j)(0) for a polynomial g gives
+    (p-1)! M_k = sum_e c_e T_k(e), with T_k(e) = int_0^inf (u+k)^e e^-u du
+    = e T_k(e-1) + k^e and T_k(0) = 1; the division is checked exact.
+    """
+    f = poly_expand_f(n, p)
+    result = []
+    for k in range(n + 1):
+        shifted, k_power, total = 1, 1, 0
+        for e in range(1, f.degree + 1):
+            k_power *= k
+            shifted = e * shifted + k_power
+            total += f.coeff(e) * shifted
+        quotient, remainder = divmod(total, factorial(p - 1))
+        if remainder:
+            raise IdentityViolated(f"(p-1)! does not divide M_{k}({n}, {p})")
+        result.append(quotient)
+    return result
 
 
 def hermite_M(n: int, p: int, k: int = 0) -> int:
-    """The exact integer value of the weighted integral at shift k.
-
-    Gamma(mu+1) = mu! turns the expanded polynomial into
-    sum(c_mu * mu!) / (p-1)!; the accumulated integer sum is divided by
-    (p-1)! at the end and the divisibility is asserted, not assumed.
-    """
+    """The exact integer value of the weighted integral at shift k."""
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    poly = poly_expand_f(n, p)
-    if k:
-        poly = _taylor_shift(poly, k)
-    total = sum(c * factorial(e) for e, c in poly.coefficients.items())
-    quotient, remainder = divmod(total, factorial(p - 1))
-    assert remainder == 0, "weighted coefficient sum must divide by (p-1)!"
-    return quotient
+    return hermite_Ms(n, p)[k]
 
 
 def e_interval(tolerance) -> Interval:
@@ -164,20 +156,19 @@ def e_interval(tolerance) -> Interval:
     tolerance = Fraction(tolerance)
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    total = Fraction(0)
-    term = Fraction(1)
-    m = 0
-    while True:
-        total += term
-        remainder = 2 * term / (m + 1)  # = 2/(m+1)!
-        if remainder <= tolerance:
-            # pad out to the full width symmetrically; e sits in the raw
-            # bracket [total, total + remainder] but callers expect nearby
-            # decimal truncations (slightly below e) to land inside too
-            pad = (tolerance - remainder) / 2
-            return Interval(total - pad, total + remainder + pad)
+    # sum_{i<=m} 1/i! = num/m! in integers; the remainder is below 2/(m+1)!
+    num, fact, m = 1, 1, 0
+    while 2 * tolerance.denominator > tolerance.numerator * (m + 1) * fact:
         m += 1
-        term /= m
+        num = m * num + 1
+        fact *= m
+    total = Fraction(num, fact)
+    remainder = Fraction(2, (m + 1) * fact)
+    # pad out to the full width symmetrically; e sits in the raw bracket
+    # [total, total + remainder] but callers expect nearby decimal
+    # truncations (slightly below e) to land inside too
+    pad = (tolerance - remainder) / 2
+    return Interval(total - pad, total + remainder + pad)
 
 
 def _e_pow_interval(k: int, tolerance: Fraction) -> Interval:
@@ -215,8 +206,8 @@ def hermite_eps(n: int, p: int, k: int, tolerance=Fraction(1, 10 ** 12)) -> EpsE
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     tolerance = Fraction(tolerance)
-    m0 = hermite_M(n, p, 0)
-    mk = hermite_M(n, p, k)
+    m_values = hermite_Ms(n, p)
+    m0, mk = m_values[0], m_values[k]
     target = tolerance / max(1, abs(m0))
     ek = _e_pow_interval(k, target)
     interval = ek * m0 - mk
@@ -254,27 +245,6 @@ class HermiteCertificate:
         }
 
 
-def _lcm(values) -> int:
-    result = 1
-    for v in values:
-        result = result * v // gcd(result, v)
-    return result
-
-
-def _eps_sum_interval(n: int, p: int, scaled: List[int],
-                      m_values: List[int], tolerance: Fraction) -> Interval:
-    """Interval for sum_{k>=1} scaled[k] * (e^k M_0 - M_k)."""
-    total = Interval.point(0)
-    m0 = m_values[0]
-    for k in range(1, n + 1):
-        if scaled[k] == 0:
-            continue
-        per_term = tolerance / (n * max(1, abs(scaled[k])) * max(1, abs(m0)))
-        ek = _e_pow_interval(k, per_term)
-        total = total + (ek * m0 - m_values[k]) * scaled[k]
-    return total
-
-
 def nonvanish_certificate(coefficients, p_cap: int = 10_000) -> HermiteCertificate:
     """Produce a verified positive lower bound on |sum b_k e^k|.
 
@@ -289,12 +259,12 @@ def nonvanish_certificate(coefficients, p_cap: int = 10_000) -> HermiteCertifica
     if b[0] == 0:
         raise ZeroLeadingCoefficient("b_0 must be nonzero")
     n = len(b) - 1
-    denom = _lcm(c.denominator for c in b)
+    denom = lcm(*(c.denominator for c in b))
     scaled = [int(c * denom) for c in b]
     threshold = max(n, abs(scaled[0]), denom)
     p = _next_prime(threshold)
     while p <= p_cap:
-        m_values = [hermite_M(n, p, k) for k in range(n + 1)]
+        m_values = hermite_Ms(n, p)
         m0 = m_values[0]
         combination = sum(s * m for s, m in zip(scaled, m_values))
         checks = {
@@ -304,7 +274,8 @@ def nonvanish_certificate(coefficients, p_cap: int = 10_000) -> HermiteCertifica
         eps_ok, ledger, total_bound = _certify_eps(n, p, scaled, m_values)
         checks["eps_half"] = eps_ok
         if all(checks.values()):
-            assert combination % p != 0  # forced by the two divisibility checks
+            if combination % p == 0:  # excluded by the two divisibility checks
+                raise IdentityViolated(f"{p} divides the integer combination")
             lower = Fraction(1, 2 * denom * abs(m0))
             return HermiteCertificate(
                 coefficients=b,
@@ -323,22 +294,36 @@ def nonvanish_certificate(coefficients, p_cap: int = 10_000) -> HermiteCertifica
 
 def _certify_eps(n: int, p: int, scaled: List[int],
                  m_values: List[int]) -> Tuple[bool, List[Fraction], Fraction]:
+    """Squeeze sum_{k>=1} scaled[k] * (e^k M_0 - M_k) inside (-1/2, 1/2),
+    building each round's per-k terms once; the ledger is their bounds.  The
+    total bound is rounded up to a short dyadic rational, still a bound."""
     half = Fraction(1, 2)
     tolerance = Fraction(1, 4)
+    m0 = m_values[0]
     for _ in range(60):
-        total = _eps_sum_interval(n, p, scaled, m_values, tolerance)
-        if -half < total.lo and total.hi < half:
-            ledger = []
-            m0 = m_values[0]
-            for k in range(1, n + 1):
-                per = tolerance / (n * max(1, abs(scaled[k])) * max(1, abs(m0)))
-                ek = _e_pow_interval(k, per)
-                ledger.append(((ek * m0 - m_values[k]) * scaled[k]).abs_hi())
-            return True, ledger, max(abs(total.lo), total.hi)
+        terms = []
+        for k in range(1, n + 1):
+            if scaled[k] == 0:
+                terms.append(Interval.point(0))
+                continue
+            per_term = tolerance / (n * abs(scaled[k]) * max(1, abs(m0)))
+            ek = _e_pow_interval(k, per_term)
+            terms.append((ek * m0 - m_values[k]) * scaled[k])
+        total = sum(terms, Interval.point(0))
+        bound = _round_up_dyadic(total.abs_hi())
+        if bound < half:
+            return True, [t.abs_hi() for t in terms], bound
         if total.lo >= half or total.hi <= -half:
             return False, [], Fraction(0)
         tolerance /= 16
     return False, [], Fraction(0)
+
+
+def _round_up_dyadic(x: Fraction) -> Fraction:
+    """The least m / 2^s >= x with m of about 64 bits, for x >= 0."""
+    shift = 64 - x.numerator.bit_length() + x.denominator.bit_length()
+    scale = Fraction(2) ** shift
+    return ceil(x * scale) / scale
 
 
 def certificate_from_dict(doc: dict) -> HermiteCertificate:
@@ -348,7 +333,7 @@ def certificate_from_dict(doc: dict) -> HermiteCertificate:
     empty; verification recomputes them anyway.
     """
     coeffs = [Fraction(int(num), int(den)) for num, den in doc["coeffs"]]
-    denom = _lcm(c.denominator for c in coeffs)
+    denom = lcm(*(c.denominator for c in coeffs))
     return HermiteCertificate(
         coefficients=coeffs,
         common_denominator=denom,
@@ -373,7 +358,7 @@ def verify_certificate(cert: HermiteCertificate, digits: int = 60) -> bool:
     p = cert.prime
     if not _is_prime(p):
         return False
-    m_values = [hermite_M(n, p, k) for k in range(n + 1)]
+    m_values = hermite_Ms(n, p)
     if m_values != list(cert.M):
         return False
     scaled = [int(c * cert.common_denominator) for c in cert.coefficients]

@@ -72,6 +72,17 @@ class TestOutputs:
         rebuilt = hermite.certificate_from_dict(doc)
         assert hermite.verify_certificate(rebuilt)
 
+    @pytest.mark.parametrize("argv,coeffs", [
+        (["--coeffs", "-87,32"], [-87, 32]),
+        (["--coeffs=-87,32"], [-87, 32]),
+        (["--coeffs", "-1/2,3"], [F(-1, 2), 3])])
+    def test_cert_negative_leading_coefficient(self, capsys, argv, coeffs):
+        code, out = capture(capsys, ["hermite", "cert", *argv])
+        assert code == 0
+        doc = json.loads(out)
+        assert [F(int(a), int(b)) for a, b in doc["coeffs"]] == coeffs
+        assert hermite.verify_certificate(hermite.certificate_from_dict(doc))
+
     def test_sieve_doc(self, capsys):
         code, out = capture(capsys, ["sieve", "--depth", "200", "--steps", "5"])
         assert code == 0

@@ -43,6 +43,12 @@ class TestPerfectPowers:
         for k in range(3000 + 1):
             assert is_perfect_power(k) == (k in powers)
 
+    @pytest.mark.parametrize("k,expected", [(3 ** 1000, True),
+                                            (3 ** 1000 + 1, False),
+                                            (2 ** 1279 - 1, False)])
+    def test_is_perfect_power_beyond_float_range(self, k, expected):
+        assert is_perfect_power(k) is expected
+
 
 class TestPartialSum:
     def test_first_terms(self):
@@ -61,6 +67,15 @@ class TestPartialSum:
         for limit in (10, 100, 1000, 10 ** 4, 10 ** 5):
             residual = 1 - partial_sum(limit)
             assert 0 < residual <= tail_bound(limit)
+
+    def test_tail_bound_exact_on_every_limit(self):
+        # the whole sum is exactly 1, so 1 - partial_sum(L) is the tail;
+        # both sides change only at perfect powers (squares included), so
+        # checking there covers every L in [4, 2*10^5)
+        total = F(0)
+        for k in perfect_powers(2 * 10 ** 5 - 1):
+            total += F(1, k - 1)
+            assert 0 < 1 - total <= tail_bound(k), k
 
     def test_tail_bound_against_brute_force_window(self):
         # enumerate the actual tail over (limit, 100*limit]; it must stay

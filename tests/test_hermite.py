@@ -1,17 +1,20 @@
+import json
 from fractions import Fraction
 from math import factorial, gcd
 
 import pytest
 import sympy
 
-from hyperline.errors import (PrecisionExhausted, RadiusViolation,
-                              SearchExhausted, ZeroLeadingCoefficient, ZeroRoot)
+from hyperline import hermite
+from hyperline.errors import (IdentityViolated, PrecisionExhausted,
+                              RadiusViolation, SearchExhausted,
+                              ZeroLeadingCoefficient, ZeroRoot)
 from hyperline.hermite import (certificate_from_dict, cf_convergents,
                                combination_interval, e_interval, e_oracle,
                                elem_sym, eval_q_analytic, hermite_M,
-                               hermite_eps, liouville_approx, liouville_partial,
-                               nonvanish_certificate, pi_oracle, poly_expand_f,
-                               verify_certificate)
+                               hermite_Ms, hermite_eps, liouville_approx,
+                               liouville_partial, nonvanish_certificate,
+                               pi_oracle, poly_expand_f, verify_certificate)
 from hyperline.intervals import Interval
 
 F = Fraction
@@ -34,6 +37,20 @@ def sympy_hermite_M(n, p, k=0):
     total = sum(c * sympy.factorial(e)
                 for (e,), c in poly.terms())
     return int(total / sympy.factorial(p - 1))
+
+
+def sympy_hermite_Ms(n, p):
+    # Poly arithmetic and Taylor shifts: fast enough for every n <= 4, p <= 31
+    x = sympy.symbols("x")
+    poly = sympy.Poly(x ** (p - 1), x)
+    for j in range(1, n + 1):
+        poly *= sympy.Poly(x - j, x) ** p
+    values = []
+    for k in range(n + 1):
+        shifted = poly.shift(k) if k else poly
+        total = sum(int(c) * factorial(e) for (e,), c in shifted.terms())
+        values.append(total // factorial(p - 1))
+    return values
 
 
 class TestPolynomialExpansion:
@@ -111,6 +128,17 @@ class TestHermiteIntegers:
         assert m0 % p != 0
         for k in range(1, n + 1):
             assert hermite_M(n, p, k) % p == 0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+    def test_all_shifts_match_symbolic_oracle(self, n, p):
+        assert hermite_Ms(n, p) == sympy_hermite_Ms(n, p)
+
+    def test_inexact_division_raises(self, monkeypatch):
+        # the (p-1)! division is an explicit check, kept under python -O
+        monkeypatch.setattr(hermite, "factorial", lambda m: 7 ** 40)
+        with pytest.raises(IdentityViolated):
+            hermite_Ms(1, 3)
 
 
 class TestEInterval:
@@ -209,6 +237,37 @@ class TestCertificates:
         doc = cert.to_dict()
         doc["I"] = str(int(doc["I"]) + 1)
         assert not verify_certificate(certificate_from_dict(doc))
+
+
+class TestLargeCertificate:
+    # p = 127: the exact epsilon bound has thousands of digits, the stored
+    # one is rounded up to a 64-bit dyadic rational
+    COEFFS = [F(126), F(1), F(1), F(-2)]
+
+    def test_json_roundtrip_reverifies(self):
+        cert = nonvanish_certificate(self.COEFFS)
+        doc = json.loads(json.dumps(cert.to_dict()))
+        rebuilt = certificate_from_dict(doc)
+        assert rebuilt.eps_total_bound == cert.eps_total_bound
+        assert verify_certificate(rebuilt)
+
+    def test_rounded_bound_covers_exact_bound(self, monkeypatch):
+        cert = nonvanish_certificate(self.COEFFS)
+        monkeypatch.setattr(hermite, "_round_up_dyadic", lambda x: x)
+        ok, _, exact = hermite._certify_eps(3, cert.prime, [126, 1, 1, -2], cert.M)
+        assert ok
+        assert exact.denominator.bit_length() > 4300 * 3.33  # > 4300 digits
+        assert exact <= cert.eps_total_bound < F(1, 2)
+
+    @pytest.mark.parametrize("x", [F(0), F(1, 3), F(205, 6048), F(7, 2 ** 90),
+                                   F(3 ** 200, 7 ** 100), F(2 ** 70 + 1)])
+    def test_dyadic_rounding(self, x):
+        rounded = hermite._round_up_dyadic(x)
+        assert x <= rounded <= x * (1 + F(1, 2 ** 63))
+        num, den = rounded.numerator, rounded.denominator
+        assert den & (den - 1) == 0
+        odd_part = num >> max(0, (num & -num).bit_length() - 1)
+        assert odd_part.bit_length() <= 65
 
 
 class TestConvergents:
