@@ -10,6 +10,7 @@ exhausted.
 from __future__ import annotations
 
 import argparse
+import csv
 import decimal
 import io
 import json
@@ -30,14 +31,45 @@ _SOFT_ERRORS = (ClassUndetermined, ConvergenceUnknown, NotConvergentAtDepth,
 
 
 def parse_rational(text: str) -> Fraction:
+    """A finite rational from "p/q" or a decimal; ValueError otherwise
+    (including a zero denominator, "inf" and "nan")."""
     text = text.strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
     try:
+        if "/" in text:
+            num, den = text.split("/", 1)
+            return Fraction(int(num), int(den))
         return Fraction(decimal.Decimal(text))
-    except decimal.InvalidOperation as exc:
+    except (ArithmeticError, ValueError) as exc:
         raise ValueError(f"cannot parse rational {text!r}") from exc
+
+
+# argparse `type=` functions: bad input becomes a usage error (exit 2)
+
+def _tolerance(text: str) -> Fraction:
+    try:
+        value = parse_rational(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"tolerance must be positive, got {text!r}")
+    return value
+
+
+def _depth(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"depth must be an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"depth must be at least 1, got {text!r}")
+    return value
+
+
+def _series(text: str) -> extsum.SeriesSpec:
+    try:
+        return extsum.parse_series(text)
+    except (ArithmeticError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(f"bad series {text!r}: {exc}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -45,9 +77,9 @@ def _build_parser() -> argparse.ArgumentParser:
     # can be given either before or after the subcommand (a subparser default
     # would otherwise clobber a value parsed by the main parser).
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--depth", type=int, default=argparse.SUPPRESS,
+    common.add_argument("--depth", type=_depth, default=argparse.SUPPRESS,
                         help="inspection depth for sequence verdicts")
-    common.add_argument("--tolerance", type=parse_rational,
+    common.add_argument("--tolerance", type=_tolerance,
                         default=argparse.SUPPRESS,
                         help="interval tolerance (p/q or decimal)")
     common.add_argument("--format", choices=("json", "csv"),
@@ -68,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_ext = sub.add_parser("extsum", parents=[common],
                            help="flat sum of a series expression")
-    p_ext.add_argument("--series", required=True,
+    p_ext.add_argument("--series", type=_series, required=True,
                        help="geom(r) | pser(k) | powers_recip | harmonic | alt(...)")
 
     p_herm = sub.add_parser("hermite", parents=[common],
@@ -163,7 +195,7 @@ def _run_command(args) -> dict:
     if args.command == "sieve":
         return goldbach.euler_sieve(args.depth, args.steps).to_dict()
     if args.command == "extsum":
-        spec = extsum.parse_series(args.series)
+        spec = args.series
         result = extsum.flat_sum(spec, depth=args.depth)
         wst_interval = None
         if not result.divergent:
@@ -238,8 +270,7 @@ def render(doc: dict, output_format: str) -> str:
     if output_format == "json":
         return json.dumps(doc, indent=2)
     out = io.StringIO()
-    for row in _csv_rows(doc):
-        out.write(",".join(str(c) for c in row) + "\n")
+    csv.writer(out, lineterminator="\n").writerows(_csv_rows(doc))
     return out.getvalue().rstrip("\n")
 
 

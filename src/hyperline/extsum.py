@@ -112,48 +112,48 @@ class ExtSumResult:
             raise ValueError("divergent results carry no eta interval")
 
 
-def _compact_positions(spec: SeriesSpec, keep_nonneg: bool):
-    """Original index of the j-th term with the requested sign (lazy)."""
-    positions: list = []
-    cursor = [0]
-    lock = threading.Lock()
-
-    def pos(j: int) -> int:
-        if j < len(positions):
-            return positions[j]
-        with lock:
-            while len(positions) <= j:
-                n = cursor[0]
-                value = spec.term_at(n)
-                wanted = value >= 0 if keep_nonneg else value < 0
-                if wanted:
-                    positions.append(n)
-                cursor[0] = n + 1
-        return positions[j]
-
-    return pos
-
-
 def split_parts(spec: SeriesSpec):
     """Compact subsequences of nonnegative and negative terms.
 
     Reindexing compactly (rather than padding with zeros) is what makes the
     alternating unit series collapse exactly: its halves sum to the all-ones
-    and all-minus-ones partials, which cancel pointwise.
+    and all-minus-ones partials, which cancel pointwise.  One shared cursor
+    reads each term's sign once and files its index under that sign; a half
+    re-reads the term at the index, so no term value is stored.
     """
-    pos_plus = _compact_positions(spec, True)
-    pos_minus = _compact_positions(spec, False)
+    positions = ([], [])  # original indices of the nonnegative, negative terms
+    cursor = [0]
+    lock = threading.Lock()
+
+    def pos(negative: bool, j: int) -> int:
+        mine = positions[negative]
+        if j < len(mine):
+            return mine[j]
+        with lock:
+            while len(mine) <= j:
+                n = cursor[0]
+                positions[spec.term_at(n) < 0].append(n)
+                cursor[0] = n + 1
+        return mine[j]
+
     bound = spec.tail_bound
-    plus = SeriesSpec(lambda j: spec.term_at(pos_plus(j)), NONNEG,
-                      None if bound is None else (lambda k: bound(pos_plus(k))),
-                      f"{spec.label}+")
-    minus = SeriesSpec(lambda j: spec.term_at(pos_minus(j)), NONPOS,
-                       None if bound is None else (lambda k: bound(pos_minus(k))),
-                       f"{spec.label}-")
-    return plus, minus
+
+    def half(negative, pattern, suffix):
+        return SeriesSpec(lambda j: spec.term_at(pos(negative, j)), pattern,
+                          None if bound is None else (lambda k: bound(pos(negative, k))),
+                          spec.label + suffix)
+
+    return half(False, NONNEG, "+"), half(True, NONPOS, "-")
 
 
 def _eta_interval(spec: SeriesSpec, eta_terms: int) -> Interval:
+    """Interval around the real sum: the first ``eta_terms`` terms plus or
+    minus the tail bound at ``eta_terms - 1``.
+
+    That the tail bound is nonincreasing is checked at two points only, at
+    ``(eta_terms - 1) // 2`` and ``eta_terms - 1``; a certificate that rises
+    between or beyond them is not detected.
+    """
     partial = sum((spec.term_at(n) for n in range(eta_terms)), Fraction(0))
     slack = Fraction(spec.tail_bound(eta_terms - 1))
     if eta_terms > 1 and slack > Fraction(spec.tail_bound((eta_terms - 1) // 2)):

@@ -351,8 +351,10 @@ def verify_certificate(cert: HermiteCertificate, digits: int = 60) -> bool:
     """Re-verify a certificate from its own fields.
 
     Recomputes the Hermite integers, the divisibility checks, the epsilon
-    half-bound, the lower bound formula, and finally confirms with a
-    high-precision interval that |sum b_k e^k| really exceeds the bound.
+    half-bound (the certificate's stated ``eps_total_bound`` must lie between
+    the recomputed bound and 1/2), the lower bound formula, and finally
+    confirms with a high-precision interval that |sum b_k e^k| really
+    exceeds the bound.
     """
     n = len(cert.coefficients) - 1
     p = cert.prime
@@ -371,8 +373,8 @@ def verify_certificate(cert: HermiteCertificate, digits: int = 60) -> bool:
         return False
     if any(m % p for m in m_values[1:]):
         return False
-    eps_ok, _, _ = _certify_eps(n, p, scaled, m_values)
-    if not eps_ok:
+    eps_ok, _, recomputed = _certify_eps(n, p, scaled, m_values)
+    if not eps_ok or not recomputed <= cert.eps_total_bound < Fraction(1, 2):
         return False
     if cert.lower_bound != Fraction(1, 2 * cert.common_denominator * abs(m_values[0])):
         return False

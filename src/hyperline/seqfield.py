@@ -308,14 +308,22 @@ def compare(a, b, depth: int = DEFAULT_DEPTH) -> CompareResult:
     return CompareResult(verdict, w)
 
 
-def _suffix_witness(values, depth: int, pred) -> Optional[int]:
-    """Smallest w such that pred holds on [w, depth], or None if 2*w > depth."""
-    w = depth + 1
-    for n in range(depth, -1, -1):
-        if not pred(values(n)):
-            break
-        w = n
-    return w if 2 * w <= depth else None
+def _half_window_tag(tag_at, depth: int, undetermined):
+    """The tag shared by every index of ``[depth//2, depth]``, else
+    ``undetermined``.
+
+    A predicate has a suffix witness ``w`` with ``2*w <= depth`` exactly when
+    it holds on that whole range.  ``tag_at`` names the one predicate (of a
+    mutually exclusive set) that holds at an index, or None for none of them,
+    so one pass decides them all and stops at the first disagreement.
+    """
+    tag = tag_at(depth)
+    if tag is None:
+        return undetermined
+    for n in range(depth - 1, depth // 2 - 1, -1):
+        if tag_at(n) is not tag:
+            return undetermined
+    return tag
 
 
 def classify(a, depth: int = DEFAULT_DEPTH, probes: int = DEFAULT_PROBES) -> ClassTag:
@@ -329,30 +337,34 @@ def classify(a, depth: int = DEFAULT_DEPTH, probes: int = DEFAULT_PROBES) -> Cla
     a = make(a)
     tiny = Fraction(1, probes)
     big = Fraction(probes)
-    q = a.const_value
-    if q is not None:
-        q = abs(q)
-        if q < tiny:
+
+    def tag_of(v):
+        v = abs(v)
+        if v < tiny:
             return ClassTag.INFINITESIMAL
-        if q > big:
+        if v > big:
             return ClassTag.UNLIMITED
         return ClassTag.APPRECIABLE
-    if _suffix_witness(lambda n: abs(a.at(n)), depth, lambda v: v < tiny) is not None:
-        return ClassTag.INFINITESIMAL
-    if _suffix_witness(lambda n: abs(a.at(n)), depth, lambda v: v > big) is not None:
-        return ClassTag.UNLIMITED
-    sandwiched = lambda v: tiny <= v <= big
-    if _suffix_witness(lambda n: abs(a.at(n)), depth, sandwiched) is not None:
-        return ClassTag.APPRECIABLE
-    return ClassTag.UNDETERMINED
+
+    q = a.const_value
+    if q is not None:
+        return tag_of(q)
+    return _half_window_tag(lambda n: tag_of(a.at(n)), depth, ClassTag.UNDETERMINED)
 
 
 def shadow(a, tolerance, depth: int = DEFAULT_DEPTH) -> Interval:
     """Certified interval of width <= 2*tolerance around the sequence limit.
 
-    The Cauchy window is detected at tolerance/2 and the returned interval is
-    widened by the full tolerance, so drift beyond the inspected depth of up
-    to tolerance/2 stays covered.
+    The scan runs on the dyadic grid ``2^-k``, ``k`` the least integer with
+    ``2^-k <= tolerance/8``: term ``a(n)`` lies in the cell
+    ``[m_n, m_n + 1] / 2^k`` with ``m_n = floor(a(n) * 2^k)``.  The Cauchy
+    window grows down from ``depth`` while the hull ``[LO, HI]`` of its cells
+    spans at most ``tolerance/2``, and it must reach ``depth/2``.  The returned
+    interval ``[HI/2^k - tolerance, LO/2^k + tolerance]`` holds
+    ``[a(n) - tolerance/2, a(n) + tolerance/2]`` for every ``n`` in the window,
+    so drift beyond the inspected depth of up to tolerance/2 stays covered.
+    Its endpoints are rounded outward to the grid (their denominators divide
+    ``tolerance.denominator * 2^k``).
     """
     tolerance = Fraction(tolerance)
     if tolerance <= 0:
@@ -363,19 +375,27 @@ def shadow(a, tolerance, depth: int = DEFAULT_DEPTH) -> Interval:
         return Interval.point(q)
     if classify(a, depth) is ClassTag.UNLIMITED:
         raise UnlimitedValue(f"{a.label} classified unlimited at depth {depth}")
-    half = tolerance / 2
-    lo = hi = a.at(depth)
+    # least k with 2^k >= ceil(8 / tolerance)
+    k = (-(-8 * tolerance.denominator // tolerance.numerator) - 1).bit_length()
+    max_spread = (tolerance.numerator << k) // (2 * tolerance.denominator)
+
+    def cell(n):
+        v = a.at(n)
+        return (v.numerator << k) // v.denominator
+
+    lo = cell(depth)
+    hi = lo + 1
     w = depth
     for n in range(depth - 1, -1, -1):
-        v = a.at(n)
-        new_lo, new_hi = min(lo, v), max(hi, v)
-        if new_hi - new_lo > half:
+        m = cell(n)
+        new_lo, new_hi = min(lo, m), max(hi, m + 1)
+        if new_hi - new_lo > max_spread:
             break
         lo, hi, w = new_lo, new_hi, n
     if 2 * w > depth:
         raise NotConvergentAtDepth(
             f"no Cauchy window at tolerance {tolerance} within depth {depth}")
-    return Interval(hi - tolerance, lo + tolerance)
+    return Interval(Fraction(hi, 1 << k) - tolerance, Fraction(lo, 1 << k) + tolerance)
 
 
 def hyper_floor(a) -> Hyperinteger:
@@ -460,39 +480,27 @@ def arch_compare(a, b, depth: int = DEFAULT_DEPTH,
     a, b = make(a), make(b)
     tiny = Fraction(1, probes)
     big = Fraction(probes)
-    qa, qb = a.const_value, b.const_value
-    if qa is not None and qb is not None:
-        if qa == 0 or qb == 0:
-            raise ZeroTailAtDepth("an operand is zero on the whole inspected suffix")
-        r = abs(qa) / abs(qb)
+
+    def tag_of(x, y):
+        x, y = abs(x), abs(y)
+        if y == 0:
+            return None if x == 0 else ArchClass.HIGHER
+        r = x / y
         if r < tiny:
             return ArchClass.LOWER
         if r > big:
             return ArchClass.HIGHER
         return ArchClass.SAME
+
+    qa, qb = a.const_value, b.const_value
+    if qa is not None and qb is not None:
+        if qa == 0 or qb == 0:
+            raise ZeroTailAtDepth("an operand is zero on the whole inspected suffix")
+        return tag_of(qa, qb)
     start = (depth + 1) // 2
     a_zero = all(a.at(n) == 0 for n in range(start, depth + 1))
     b_zero = all(b.at(n) == 0 for n in range(start, depth + 1))
     if a_zero or b_zero:
         raise ZeroTailAtDepth("an operand is zero on the whole inspected suffix")
-
-    unbounded, indeterminate = object(), object()
-
-    def ratio(n):
-        x, y = abs(a.at(n)), abs(b.at(n))
-        if y == 0:
-            return indeterminate if x == 0 else unbounded
-        return x / y
-
-    def is_frac(r):
-        return r is not unbounded and r is not indeterminate
-
-    if _suffix_witness(ratio, depth, lambda r: is_frac(r) and r < tiny) is not None:
-        return ArchClass.LOWER
-    higher = lambda r: r is unbounded or (is_frac(r) and r > big)
-    if _suffix_witness(ratio, depth, higher) is not None:
-        return ArchClass.HIGHER
-    same = lambda r: is_frac(r) and tiny <= r <= big
-    if _suffix_witness(ratio, depth, same) is not None:
-        return ArchClass.SAME
-    return ArchClass.UNDETERMINED
+    return _half_window_tag(lambda n: tag_of(a.at(n), b.at(n)), depth,
+                            ArchClass.UNDETERMINED)

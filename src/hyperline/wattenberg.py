@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import seqfield as sf
-from .errors import ClassUndetermined, NotInfinitesimal, OutOfRange, SignUndetermined
+from .errors import (ClassUndetermined, NotInfinitesimal, OutOfRange, SignUndetermined,
+                     UnlimitedValue)
 from .intervals import Interval
 from .seqfield import (ArchClass, ClassTag, CompareResult, Hyperreal, Verdict,
                        arch_compare, classify, compare, hyper_floor, make, shadow)
@@ -295,10 +296,19 @@ def absorbs(x: DedekindNumber, y: DedekindNumber, depth: int = DEFAULT_DEPTH,
 
 
 def wst(x: DedekindNumber, tolerance, depth: int = DEFAULT_DEPTH) -> Interval:
-    """Standard part of a limited form as a certified rational interval."""
-    if classify(x.h, depth) is ClassTag.UNLIMITED:
-        raise OutOfRange(f"{x.render()} lies outside (-DELTA_d, DELTA_d)")
-    return shadow(x.h, tolerance, depth)
+    """Standard part of a limited form as a certified rational interval.
+
+    This is ``shadow`` of the hyperreal part: width at most ``2*tolerance``,
+    endpoints rounded outward to the dyadic grid ``2^-k <= tolerance/8``.
+    """
+    out_of_range = f"{x.render()} lies outside (-DELTA_d, DELTA_d)"
+    # shadow takes a constant as its own point without classifying it
+    if x.h.const_value is not None and classify(x.h, depth) is ClassTag.UNLIMITED:
+        raise OutOfRange(out_of_range)
+    try:
+        return shadow(x.h, tolerance, depth)
+    except UnlimitedValue as exc:
+        raise OutOfRange(out_of_range) from exc
 
 
 def dd_cmp(x: DedekindNumber, y: DedekindNumber, depth: int = DEFAULT_DEPTH,

@@ -1,5 +1,9 @@
+import csv
 import json
+import re
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +31,11 @@ class TestParseRational:
     def test_garbage(self):
         with pytest.raises(ValueError):
             parse_rational("pi")
+
+    @pytest.mark.parametrize("text", ["1/0", "inf", "-Infinity", "nan"])
+    def test_zero_denominator_and_non_finite(self, text):
+        with pytest.raises(ValueError):
+            parse_rational(text)
 
 
 class TestWatExpressions:
@@ -194,3 +203,51 @@ class TestDeterminismAndExitCodes:
         code = run(["wat", "--expr", "1# + bogus"])
         capsys.readouterr()
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["extsum", "--series", "geom(1/2)", "--tolerance", "1/0"],
+        ["extsum", "--series", "geom(1/2)", "--tolerance", "inf"],
+        ["extsum", "--series", "geom(1/2)", "--tolerance", "nan"],
+        ["extsum", "--series", "geom(1/2)", "--tolerance", "0"],
+        ["extsum", "--series", "geom(1/2)", "--tolerance", "-1/3"],
+        ["extsum", "--series", "geom(1/0)"],
+        ["extsum", "--series", "pser(0)"],
+        ["extsum", "--series", "alt(geom(x))"],
+        ["wat", "--expr", "1#", "--depth", "-3"],
+        ["wat", "--expr", "1#", "--depth", "0"],
+        ["--depth", "ten", "wat", "--expr", "1#"],
+        ["dirichlet", "--alpha", "1/0", "--count", "3"],
+        ["hermite", "cert", "--coeffs", "3,1/0"],
+    ], ids=" ".join)
+    def test_bad_input_is_usage_error(self, capsys, argv):
+        code = run(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err and "error" in err
+
+
+def readme_cli_lines():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## CLI\n\n```\n(.*?)```", readme, re.S).group(1)
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.strip()]
+
+
+class TestReadmeCommands:
+    """Every command in the README's CLI block runs and prints a document."""
+
+    @pytest.mark.parametrize("argv", readme_cli_lines(), ids=" ".join)
+    def test_runs_and_parses(self, capsys, argv):
+        code, out = capture(capsys, argv)
+        assert code == 0
+        if "--format" in argv and argv[argv.index("--format") + 1] == "csv":
+            header, *rows = csv.reader(out.splitlines())
+            assert rows and all(len(row) == len(header) for row in rows)
+            doc = dict(zip(header, rows[0]))
+        else:
+            doc = json.loads(out)
+        if "alt(pser(2))" in argv:
+            # pi^2/12 = sum (-1)^n / (n+1)^2, enclosed via pi in [lo, hi]
+            pi_lo, pi_hi = F("3.14159265358979"), F("3.14159265358980")
+            lo, hi = json.loads(doc["wst_interval"])
+            assert F(lo) <= pi_lo ** 2 / 12 and pi_hi ** 2 / 12 <= F(hi)
+            assert len(lo) < 40 and len(hi) < 40

@@ -46,6 +46,20 @@ class TestPartialSums:
         assert partial_sums(plus).prefix(4) == [1, 2, 3, 4]
         assert partial_sums(minus).prefix(4) == [-1, -2, -3, -4]
 
+    def test_split_reads_each_term_twice(self):
+        # once for its sign, once as a term of its half
+        reads = {}
+
+        def term(n):
+            reads[n] = reads.get(n, 0) + 1
+            return F(-1, 2) ** n
+
+        plus, minus = split_parts(SeriesSpec(term, "split", None, "counted"))
+        assert [plus.term_at(j) for j in range(5)] == [F(1, 4) ** j for j in range(5)]
+        assert [minus.term_at(j) for j in range(5)] == \
+            [-F(1, 2) * F(1, 4) ** j for j in range(5)]
+        assert reads == {n: 2 for n in range(10)}
+
 
 class TestFlatSum:
     def test_geometric_half(self):

@@ -238,6 +238,14 @@ class TestCertificates:
         doc["I"] = str(int(doc["I"]) + 1)
         assert not verify_certificate(certificate_from_dict(doc))
 
+    @pytest.mark.parametrize("eps_bound,accepted", [(None, True), ("7", False),
+                                                    ("0", False)])
+    def test_stated_eps_bound_is_checked(self, eps_bound, accepted):
+        doc = nonvanish_certificate([F(3), F(-1)]).to_dict()
+        if eps_bound is not None:
+            doc["eps_bound"] = eps_bound
+        assert verify_certificate(certificate_from_dict(doc)) is accepted
+
 
 class TestLargeCertificate:
     # p = 127: the exact epsilon bound has thousands of digits, the stored

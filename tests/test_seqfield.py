@@ -157,6 +157,139 @@ class TestShadow:
             shadow(flip, F(1, 100), depth=200)
 
 
+def _suffix_witness(values, depth, pred):
+    """Reference: smallest w with pred on [w, depth], or None if 2*w > depth."""
+    w = depth + 1
+    for n in range(depth, -1, -1):
+        if not pred(values(n)):
+            break
+        w = n
+    return w if 2 * w <= depth else None
+
+
+def reference_classify(a, depth, probes=sf.DEFAULT_PROBES):
+    """The three-scan classification the half-window pass replaced."""
+    tiny, big = F(1, probes), F(probes)
+    values = lambda n: abs(a.at(n))
+    if _suffix_witness(values, depth, lambda v: v < tiny) is not None:
+        return ClassTag.INFINITESIMAL
+    if _suffix_witness(values, depth, lambda v: v > big) is not None:
+        return ClassTag.UNLIMITED
+    if _suffix_witness(values, depth, lambda v: tiny <= v <= big) is not None:
+        return ClassTag.APPRECIABLE
+    return ClassTag.UNDETERMINED
+
+
+def reference_arch_compare(a, b, depth, probes=sf.DEFAULT_PROBES):
+    """The three-scan archimedean comparison the half-window pass replaced."""
+    tiny, big = F(1, probes), F(probes)
+    start = (depth + 1) // 2
+    if all(a.at(n) == 0 for n in range(start, depth + 1)) or \
+            all(b.at(n) == 0 for n in range(start, depth + 1)):
+        raise ZeroTailAtDepth("reference")
+    unbounded, indeterminate = object(), object()
+
+    def ratio(n):
+        x, y = abs(a.at(n)), abs(b.at(n))
+        if y == 0:
+            return indeterminate if x == 0 else unbounded
+        return x / y
+
+    is_frac = lambda r: r is not unbounded and r is not indeterminate
+    if _suffix_witness(ratio, depth, lambda r: is_frac(r) and r < tiny) is not None:
+        return ArchClass.LOWER
+    higher = lambda r: r is unbounded or (is_frac(r) and r > big)
+    if _suffix_witness(ratio, depth, higher) is not None:
+        return ArchClass.HIGHER
+    same = lambda r: is_frac(r) and tiny <= r <= big
+    if _suffix_witness(ratio, depth, same) is not None:
+        return ArchClass.SAME
+    return ArchClass.UNDETERMINED
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ZeroTailAtDepth:
+        return ZeroTailAtDepth
+
+
+# values on both sides of the probe thresholds 1/64 and 64, and zero
+_edge_values = st.sampled_from([F(0), F(1, 64), F(1, 65), F(-1, 63), F(64),
+                                F(-65), F(63), F(1)])
+_any_values = st.one_of(_edge_values,
+                        st.fractions(min_value=-200, max_value=200,
+                                     max_denominator=500))
+_bucket_values = st.sampled_from([
+    st.fractions(min_value=F(-1, 65), max_value=F(1, 65), max_denominator=10 ** 4),
+    st.fractions(min_value=65, max_value=10 ** 4, max_denominator=7),
+    st.fractions(min_value=F(1, 64), max_value=64, max_denominator=300),
+])
+
+
+@st.composite
+def window_sequences(draw, depth):
+    """depth+1 values whose tail is often drawn from one class bucket, with
+    an occasional stray value, so decided and undecided cases both occur."""
+    tail = draw(_bucket_values)
+    if draw(st.booleans()):
+        tail = st.one_of(tail, _edge_values)
+    head = draw(st.integers(0, depth + 1))
+    return (draw(st.lists(_any_values, min_size=head, max_size=head))
+            + draw(st.lists(tail, min_size=depth + 1 - head, max_size=depth + 1 - head)))
+
+
+@st.composite
+def depth_and_sequences(draw, parity, count):
+    depth = 2 * draw(st.integers(1 - parity, 12)) + parity
+    return depth, [draw(window_sequences(depth)) for _ in range(count)]
+
+
+class TestHalfWindowScans:
+    """classify and arch_compare against the three-scan reference."""
+
+    @pytest.mark.parametrize("parity", [0, 1], ids=["even", "odd"])
+    @given(data=st.data())
+    def test_classify_matches_reference(self, parity, data):
+        depth, (values,) = data.draw(depth_and_sequences(parity, 1))
+        a = make(lambda n: values[n])
+        assert classify(a, depth) is reference_classify(a, depth)
+
+    @pytest.mark.parametrize("parity", [0, 1], ids=["even", "odd"])
+    @given(data=st.data())
+    def test_arch_compare_matches_reference(self, parity, data):
+        depth, (xs, ys) = data.draw(depth_and_sequences(parity, 2))
+        a, b = make(lambda n: xs[n]), make(lambda n: ys[n])
+        assert _outcome(arch_compare, a, b, depth) is \
+            _outcome(reference_arch_compare, a, b, depth)
+
+
+class TestShadowSoundness:
+    @given(limit=st.fractions(min_value=-10, max_value=10, max_denominator=1000),
+           scale=st.fractions(min_value=-5, max_value=5, max_denominator=50),
+           power=st.integers(0, 3),
+           tolerance=st.fractions(min_value=F(1, 10 ** 9), max_value=20,
+                                  max_denominator=10 ** 9),
+           depth=st.integers(1, 300))
+    def test_window_inside_interval(self, limit, scale, power, tolerance, depth):
+        # limit + scale / (n+1)^power: a window, or none, depending on the draw
+        a = make(lambda n: limit + scale / F(n + 1) ** power)
+        try:
+            interval = shadow(a, tolerance, depth)
+        except NotConvergentAtDepth:
+            return
+        half = tolerance / 2
+        for n in range(depth // 2, depth + 1):
+            assert interval.lo <= a.at(n) - half and a.at(n) + half <= interval.hi
+        assert interval.width <= 2 * tolerance
+        # endpoints on the grid 2^-k, k least with 2^-k <= tolerance/8
+        k = 0
+        while F(1, 2 ** k) > tolerance / 8:
+            k += 1
+        for end in (interval.lo, interval.hi):
+            assert (tolerance.denominator << k) % end.denominator == 0
+
+
 class TestFloor:
     def test_constant(self):
         assert hyper_floor(make(F(7, 2))).prefix(3) == [3, 3, 3]

@@ -212,6 +212,11 @@ class TestStandardPart:
         with pytest.raises(OutOfRange):
             wst(dd_add(embed(sf.OMEGA), eps_d()), F(1, 10))
 
+    def test_unlimited_constant_rejected(self):
+        # shadow returns a constant as its point; wst still refuses it
+        with pytest.raises(OutOfRange):
+            wst(dd_add(embed(100), eps_d()), F(1, 10))
+
     def test_monotone(self):
         tol = F(1, 10 ** 6)
         a = dd_add(embed(F(1, 3)), eps_d())
