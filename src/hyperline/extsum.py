@@ -24,8 +24,8 @@ from typing import Callable, Optional
 
 from . import seqfield as sf
 from .errors import ConvergenceUnknown, InvalidPermutation
-from .intervals import Interval
-from .seqfield import ClassTag, Hyperreal, Verdict, classify, compare, make
+from .intervals import Interval, grid_bits
+from .seqfield import Hyperreal, Verdict, compare, make
 from .wattenberg import DedekindNumber, EPS_IDEM, dd_add, dd_scalar_mul, embed
 
 DEFAULT_DEPTH = sf.DEFAULT_DEPTH
@@ -148,7 +148,11 @@ def split_parts(spec: SeriesSpec):
 
 def _eta_interval(spec: SeriesSpec, eta_terms: int) -> Interval:
     """Interval around the real sum: the first ``eta_terms`` terms plus or
-    minus the tail bound at ``eta_terms - 1``.
+    minus the tail bound ``slack`` at ``eta_terms - 1``, rounded outward to
+    the grid ``2^-k``, ``k`` the least integer >= 0 with ``2^-k <= slack``.
+    It is at most ``4 * slack`` wide and its endpoints have about ``k``
+    bits, whatever the size of the exact partial sum; a zero slack keeps
+    the exact point.
 
     That the tail bound is nonincreasing is checked at two points only, at
     ``(eta_terms - 1) // 2`` and ``eta_terms - 1``; a certificate that rises
@@ -158,7 +162,12 @@ def _eta_interval(spec: SeriesSpec, eta_terms: int) -> Interval:
     slack = Fraction(spec.tail_bound(eta_terms - 1))
     if eta_terms > 1 and slack > Fraction(spec.tail_bound((eta_terms - 1) // 2)):
         raise ValueError(f"{spec.label}: tail bound is not nonincreasing")
-    return Interval(partial - slack, partial + slack)
+    if slack == 0:
+        return Interval.point(partial)
+    k = grid_bits(slack)
+    lo, hi = partial - slack, partial + slack
+    return Interval(Fraction((lo.numerator << k) // lo.denominator, 1 << k),
+                    Fraction(-(-(hi.numerator << k) // hi.denominator), 1 << k))
 
 
 def flat_sum(spec: SeriesSpec, depth: int = DEFAULT_DEPTH,
@@ -213,13 +222,7 @@ def upper_lower_limit(a, tail_bound=None, depth: int = DEFAULT_DEPTH):
     (non-realized) convergence produces.
     """
     a = make(a)
-    last = a.at(depth)
-    w = depth
-    for n in range(depth - 1, -1, -1):
-        if a.at(n) != last:
-            break
-        w = n
-    if 2 * w <= depth:
+    if compare(a, a.at(depth), depth).verdict is Verdict.EQUAL:
         exact = embed(a)
         return exact, exact
     if tail_bound is None:
@@ -290,8 +293,6 @@ def scalar_mul_flat(c, spec: SeriesSpec, depth: int = DEFAULT_DEPTH,
     interval = None
     if base.eta_interval is not None and cq is not None:
         interval = base.eta_interval * cq
-    if interval is None and classify(c, depth) is not ClassTag.UNLIMITED:
-        interval = None  # nonconstant limited scalars: no exact real limit claimed
     return ExtSumResult(value, interval, base.divergent)
 
 

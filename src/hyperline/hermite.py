@@ -14,7 +14,8 @@ that p divides every M_k (k >= 1) but not the k = 0 contribution, squeeze
 part of the combination cannot vanish.
 
 All interval arithmetic is exact-rational; e enters only through its
-factorial series with an explicit remainder bound.
+factorial series with an explicit remainder bound, and pi only through
+Machin's arctangent series with an explicit remainder bound.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .errors import (IdentityViolated, PrecisionExhausted, RadiusViolation,
                      SearchExhausted, ZeroLeadingCoefficient, ZeroRoot)
-from .intervals import Interval
+from .intervals import Interval, grid_bits
 
 
 # ---------------------------------------------------------------------------
@@ -410,40 +411,38 @@ OracleFn = Callable[[Fraction], Interval]
 
 
 def pi_oracle(tolerance) -> Interval:
-    """Certified rational interval around pi via mpmath's interval mode."""
-    from mpmath import iv
+    """Rational interval around pi of width <= tolerance, from Machin's
+    identity pi = 16 atan(1/5) - 4 atan(1/239) in integers at scale 2^k.
 
+    atan(1/x) = sum_j (-1)^j / ((2j+1) x^(2j+1)) alternates with falling
+    terms.  Each term is floored (error below one unit of 2^-k), and the
+    sum stops at the first j with x^(2j+1) > 2^k, whose term bounds the
+    remainder by one unit, so j terms are off by less than j + 1 units.
+    The bracket is then 32 (j5 + 1) + 8 (j239 + 1) < 7.5 k + 80 units wide.
+    k is k0 + g, k0 the least integer >= 0 with 2^-k0 <= tolerance and
+    g = k0.bit_length() + 8 guard bits: 2^g >= 256 (k0 + 1) > 7.5 k + 80,
+    so the width is below 2^-k0.
+    """
     tolerance = Fraction(tolerance)
-    digits = max(20, 2 - _floor_log10(tolerance))
-    saved = iv.dps
-    try:
-        iv.dps = digits
-        lo_tuple, hi_tuple = iv.pi._mpi_
-        lo = _mpf_tuple_to_fraction(lo_tuple)
-        hi = _mpf_tuple_to_fraction(hi_tuple)
-    finally:
-        iv.dps = saved
-    if hi - lo > tolerance:
-        raise PrecisionExhausted("pi oracle could not reach the tolerance")
-    return Interval(lo, hi)
+    if tolerance <= 0:
+        raise ValueError("tolerance must be positive")
+    k = grid_bits(tolerance)
+    k += k.bit_length() + 8
+    center, slack = 0, 0
+    for weight, x in ((16, 5), (-4, 239)):
+        power, j = (1 << k) // x, 0  # floor(2^k / x^(2j+1)): floors nest
+        while power:
+            term = weight * (power // (2 * j + 1))
+            center += -term if j & 1 else term
+            power //= x * x
+            j += 1
+        slack += abs(weight) * (j + 1)
+    return Interval(Fraction(center - slack, 1 << k),
+                    Fraction(center + slack, 1 << k))
 
 
 def e_oracle(tolerance) -> Interval:
     return e_interval(tolerance)
-
-
-def _floor_log10(q: Fraction) -> int:
-    if q <= 0:
-        raise ValueError("positive value required")
-    digits = len(str(q.denominator)) - len(str(q.numerator))
-    # crude but only used to size working precision upward
-    return -digits - 2
-
-
-def _mpf_tuple_to_fraction(data) -> Fraction:
-    sign, man, exp, _ = data
-    value = Fraction(int(man)) * (Fraction(2) ** exp)
-    return -value if sign else value
 
 
 def _rational_convergents(alpha: Fraction, count: int) -> List[Convergent]:

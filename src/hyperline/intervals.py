@@ -14,6 +14,11 @@ def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def grid_bits(x: Fraction) -> int:
+    """The least k >= 0 with 2^-k <= x, for a positive rational x."""
+    return (-(-x.denominator // x.numerator) - 1).bit_length()
+
+
 @dataclass(frozen=True)
 class Interval:
     lo: Fraction

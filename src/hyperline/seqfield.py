@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 from .errors import (DivisionByZeroAtIndex, NotConvergentAtDepth,
                      UnlimitedValue, ZeroTailAtDepth)
-from .intervals import Interval
+from .intervals import Interval, grid_bits
 
 DEFAULT_DEPTH = 4096
 DEFAULT_PROBES = 64
@@ -71,16 +71,15 @@ _UNDETERMINED = CompareResult(Verdict.UNDETERMINED, None)
 class Hyperreal:
     """Lazy exact-rational sequence; the computable face of a hyperreal.
 
-    ``form`` is an optional closed-form tag.  Only ``("constant", q)`` is
-    interpreted (it enables O(1) comparisons and exact shadows); anything
-    else is treated as opaque.
+    ``const_value`` is the value of a sequence built by ``constant`` and
+    None otherwise; it enables O(1) comparisons and exact shadows.
     """
 
-    __slots__ = ("gen", "form", "label", "_cache", "_lock")
+    __slots__ = ("gen", "const_value", "label", "_cache", "_lock")
 
-    def __init__(self, gen: Callable[[int], Fraction], form=None, label="<seq>"):
+    def __init__(self, gen: Callable[[int], Fraction], label="<seq>"):
         self.gen = gen
-        self.form = form
+        self.const_value: Optional[Fraction] = None
         self.label = label
         self._cache: list = []
         self._lock = threading.Lock()
@@ -88,13 +87,9 @@ class Hyperreal:
     @classmethod
     def constant(cls, q) -> "Hyperreal":
         q = Fraction(q)
-        return cls(lambda n: q, form=("constant", q), label=str(q))
-
-    @property
-    def const_value(self) -> Optional[Fraction]:
-        if self.form and self.form[0] == "constant":
-            return self.form[1]
-        return None
+        h = cls(lambda n: q, label=str(q))
+        h.const_value = q
+        return h
 
     def at(self, n: int) -> Fraction:
         if n < 0:
@@ -375,8 +370,7 @@ def shadow(a, tolerance, depth: int = DEFAULT_DEPTH) -> Interval:
         return Interval.point(q)
     if classify(a, depth) is ClassTag.UNLIMITED:
         raise UnlimitedValue(f"{a.label} classified unlimited at depth {depth}")
-    # least k with 2^k >= ceil(8 / tolerance)
-    k = (-(-8 * tolerance.denominator // tolerance.numerator) - 1).bit_length()
+    k = grid_bits(tolerance / 8)
     max_spread = (tolerance.numerator << k) // (2 * tolerance.denominator)
 
     def cell(n):

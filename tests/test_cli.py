@@ -1,11 +1,15 @@
 import csv
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import sympy
 
 from hyperline import goldbach, hermite
 from hyperline.cli import eval_wat_expr, parse_rational, render, run
@@ -137,6 +141,15 @@ class TestOutputs:
         assert doc["divergent"] is False
         assert doc["value"].endswith("- eps_d")
 
+    def test_extsum_large_exponent_prints(self, capsys):
+        # the exact 128-term sum of 1/(n+1)^120 has over 4300 digits
+        code, out = capture(capsys, ["extsum", "--series", "pser(120)",
+                                     "--depth", "64"])
+        assert code == 0
+        lo, hi = json.loads(out)["eta_interval"]
+        assert F(lo) < F(sympy.Rational(sympy.zeta(120).evalf(400))) < F(hi)
+        assert len(lo) < 600 and len(hi) < 600
+
     def test_csv_format(self, capsys):
         code, out = capture(capsys, ["--format", "csv", "dirichlet",
                                      "--alpha", "pi", "--count", "2"])
@@ -251,3 +264,20 @@ class TestReadmeCommands:
             lo, hi = json.loads(doc["wst_interval"])
             assert F(lo) <= pi_lo ** 2 / 12 and pi_hi ** 2 / 12 <= F(hi)
             assert len(lo) < 40 and len(hi) < 40
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Block mpmath: importing it in the child then raises ImportError.
+STDLIB_ONLY_MAIN = ('import sys; sys.modules["mpmath"] = None; '
+                    'from hyperline.cli import main; sys.argv[0] = "hyperline"; main()')
+
+
+@pytest.mark.parametrize("argv", readme_cli_lines(), ids=" ".join)
+def test_readme_command_needs_no_mpmath(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", STDLIB_ONLY_MAIN, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr

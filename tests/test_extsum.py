@@ -83,6 +83,24 @@ class TestFlatSum:
         assert dd_eq(result.value, dd_add(embed(F(2, 3)), dd_neg(eps_d())))
         assert result.eta_interval.contains(F(2, 3))
 
+    @pytest.mark.parametrize("spec", [
+        geom(F(1, 3)), pser(2), pser(120),
+        SeriesSpec(lambda n: F(1, 3) if n == 0 else F(0), "nonneg",
+                   lambda k: F(0), "one-term")], ids=lambda spec: spec.label)
+    def test_eta_interval_on_dyadic_grid(self, spec):
+        for eta_terms in (1, 7, 128):
+            partial = sum((spec.term_at(n) for n in range(eta_terms)), F(0))
+            slack = spec.tail_bound(eta_terms - 1)
+            eta = flat_sum(spec, eta_terms=eta_terms).eta_interval
+            assert eta.lo <= partial - slack and partial + slack <= eta.hi
+            assert eta.width <= 4 * slack
+            if slack == 0:
+                assert eta.lo == eta.hi == partial
+            else:
+                for end in (eta.lo, eta.hi):
+                    assert end.denominator & (end.denominator - 1) == 0
+                    assert end.denominator < 2 / slack
+
     def test_divergent_keeps_exact_embed(self):
         result = flat_sum(ONES)
         assert result.divergent
@@ -160,6 +178,10 @@ class TestUpperLowerLimits:
         upper, lower = upper_lower_limit(a)
         assert upper.sign == 0 and lower.sign == 0
         assert dd_eq(upper, embed(7))
+
+    def test_depth_must_be_positive(self):
+        with pytest.raises(ValueError):
+            upper_lower_limit(make(F(7)), depth=0)
 
     def test_oscillation_unknown(self):
         with pytest.raises(ConvergenceUnknown):

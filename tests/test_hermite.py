@@ -20,6 +20,7 @@ from hyperline.intervals import Interval
 F = Fraction
 
 E_50 = F(sympy.Rational(sympy.E.evalf(50)))
+PI_400 = F(sympy.Rational(sympy.pi.evalf(400)))
 
 
 def sympy_weight_poly(n, p, k=0):
@@ -315,6 +316,28 @@ class TestConvergents:
             for c2 in convergents:
                 gap = abs(F(c1.p, c1.q) - F(c2.p, c2.q))
                 assert gap <= F(1, c1.q ** 2) + F(1, c2.q ** 2)
+
+    def test_pi_first_eight(self):
+        assert [(c.p, c.q) for c in cf_convergents(pi_oracle, 8)] == [
+            (3, 1), (22, 7), (333, 106), (355, 113), (103993, 33102),
+            (104348, 33215), (208341, 66317), (312689, 99532)]
+
+    @pytest.mark.parametrize("digits", [12, 40, 160, 320])
+    def test_pi_oracle_brackets_within_tolerance(self, digits):
+        tolerance = F(1, 10 ** digits)
+        bracket = pi_oracle(tolerance)
+        assert bracket.lo < PI_400 < bracket.hi
+        assert bracket.width <= tolerance
+        for end in (bracket.lo, bracket.hi):
+            assert end.denominator & (end.denominator - 1) == 0
+
+    def test_pi_oracle_coarse_and_bad_tolerances(self):
+        for tolerance in (F(10 ** 6), F(1), F(7, 10)):
+            bracket = pi_oracle(tolerance)
+            assert bracket.lo < PI_400 < bracket.hi and bracket.width <= tolerance
+        for tolerance in (F(0), F(-1)):
+            with pytest.raises(ValueError):
+                pi_oracle(tolerance)
 
     def test_e_oracle_reaches_87_over_32(self):
         convergents = cf_convergents(e_oracle, 6)

@@ -19,6 +19,7 @@ class TestConstruction:
     def test_constant_embedding(self):
         a = make(F(2, 3))
         assert a.prefix(5) == [F(2, 3)] * 5
+        assert a.const_value == F(2, 3)
 
     def test_omega_counts_from_one(self):
         assert sf.OMEGA.prefix(4) == [1, 2, 3, 4]
@@ -36,6 +37,7 @@ class TestConstruction:
     def test_make_from_generator(self):
         a = make(lambda n: F(n * n))
         assert a.at(4) == 16
+        assert a.const_value is None
 
 
 class TestArithmetic:
@@ -62,6 +64,7 @@ class TestArithmetic:
     @given(st.fractions(max_denominator=100), st.fractions(max_denominator=100))
     def test_constant_ops_match_rationals(self, x, y):
         a, b = make(x), make(y)
+        assert (a * b - a).const_value == x * y - x
         for idx in (0, 3, 17):
             assert (a + b).at(idx) == x + y
             assert (a - b).at(idx) == x - y
