@@ -19,6 +19,7 @@ import sys
 from fractions import Fraction
 
 from . import extsum, goldbach, hermite
+from .intervals import grid_bits
 from .errors import (ClassUndetermined, ConvergenceUnknown, NotConvergentAtDepth,
                      PrecisionExhausted, SearchExhausted, SignUndetermined,
                      UnlimitedValue)
@@ -29,18 +30,28 @@ from .wattenberg import (DedekindNumber, dd_add, dd_neg, delta_d, embed, eps_d,
 _SOFT_ERRORS = (ClassUndetermined, ConvergenceUnknown, NotConvergentAtDepth,
                 SignUndetermined, UnlimitedValue, PrecisionExhausted)
 
+# CPython's default int->str limit: inputs whose output would pass it are
+# refused up front.  2^_MAX_BITS is the largest power of two that prints.
+_MAX_DIGITS = 4300
+_MAX_BITS = (10 ** _MAX_DIGITS).bit_length() - 1
+
 
 def parse_rational(text: str) -> Fraction:
     """A finite rational from "p/q" or a decimal; ValueError otherwise
-    (including a zero denominator, "inf" and "nan")."""
+    (including a zero denominator, "inf", "nan" and a decimal exponent
+    above _MAX_DIGITS, refused before 10^exponent is built)."""
     text = text.strip()
     try:
         if "/" in text:
             num, den = text.split("/", 1)
             return Fraction(int(num), int(den))
-        return Fraction(decimal.Decimal(text))
+        value = decimal.Decimal(text)
+        exponent = value.as_tuple().exponent
+        if isinstance(exponent, int) and abs(exponent) > _MAX_DIGITS:
+            raise ValueError(f"exponent above {_MAX_DIGITS}")
+        return Fraction(value)
     except (ArithmeticError, ValueError) as exc:
-        raise ValueError(f"cannot parse rational {text!r}") from exc
+        raise ValueError(f"cannot parse rational {text!r}: {exc}") from exc
 
 
 # argparse `type=` functions: bad input becomes a usage error (exit 2)
@@ -52,6 +63,12 @@ def _tolerance(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from None
     if value <= 0:
         raise argparse.ArgumentTypeError(f"tolerance must be positive, got {text!r}")
+    # wst endpoints lie on the grid 2^-k, k = grid_bits(tolerance / 8), offset
+    # by the tolerance: their numerators and denominators have about this many bits
+    bits = value.numerator.bit_length() + value.denominator.bit_length()
+    if bits + grid_bits(value / 8) > _MAX_BITS:
+        raise argparse.ArgumentTypeError(
+            f"tolerance {text!r} would print more than {_MAX_DIGITS} digits")
     return value
 
 
@@ -67,9 +84,18 @@ def _depth(text: str) -> int:
 
 def _series(text: str) -> extsum.SeriesSpec:
     try:
-        return extsum.parse_series(text)
+        spec = extsum.parse_series(text)
+        # eta_interval adds one interval per signed part, each on the grid
+        # 2^-k, k = grid_bits(slack), slack that part's tail bound
+        parts = extsum.split_parts(spec) if spec.pattern == extsum.SPLIT else (spec,)
+        slacks = [Fraction(part.tail_bound(extsum.DEFAULT_ETA_TERMS - 1))
+                  for part in parts if part.tail_bound is not None]
     except (ArithmeticError, ValueError) as exc:
         raise argparse.ArgumentTypeError(f"bad series {text!r}: {exc}") from None
+    if any(slack and grid_bits(slack) > _MAX_BITS for slack in slacks):
+        raise argparse.ArgumentTypeError(
+            f"series {text!r}: eta_interval would print more than {_MAX_DIGITS} digits")
+    return spec
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -57,7 +57,7 @@ class InvalidPermutation(HyperlineError):
     """The supplied permutation is not a bijection within its stated displacement."""
 
 
-class DepthTooSmall(HyperlineError):
+class DepthTooSmall(HyperlineError, ValueError):
     """The sieve ran out of candidates below the requested depth."""
 
 
@@ -65,7 +65,7 @@ class ZeroRoot(HyperlineError):
     """Symmetric polynomials of reciprocals need nonzero roots."""
 
 
-class ZeroLeadingCoefficient(HyperlineError):
+class ZeroLeadingCoefficient(HyperlineError, ValueError):
     """Certificate coefficients must have b_0 != 0."""
 
 

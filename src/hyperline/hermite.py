@@ -10,12 +10,13 @@ exact integer sums of coefficient * factorial terms, no quadrature involved.
 The identity e^k M_0 = M_k + eps_k with tiny eps_k then makes a finite
 rational combination sum(b_k e^k) certifiably nonzero: pick a prime p so
 that p divides every M_k (k >= 1) but not the k = 0 contribution, squeeze
-|sum of scaled eps_k| below 1/2 with interval arithmetic, and the integer
+|sum of scaled eps_k| below 1/2 in fixed-point integers, and the integer
 part of the combination cannot vanish.
 
-All interval arithmetic is exact-rational; e enters only through its
-factorial series with an explicit remainder bound, and pi only through
-Machin's arctangent series with an explicit remainder bound.
+Every e^k comes from one fixed-point kernel, an integer bracket of
+e^k * 2^K from the floored terms of its exponential series with an explicit
+remainder bound; pi comes only from Machin's arctangent series, summed the
+same way.  Intervals built from them are exact-rational.
 """
 
 from __future__ import annotations
@@ -151,38 +152,51 @@ def hermite_M(n: int, p: int, k: int = 0) -> int:
     return hermite_Ms(n, p)[k]
 
 
+def _exp_fixed(k: int, K: int) -> Tuple[int, int]:
+    """Integers (lo, hi) with lo <= e^k * 2^K < hi, for k, K >= 0.
+
+    e^k 2^K = sum_i t_i, t_i = k^i 2^K / i!.  lo sums the exact floors of
+    t_0 .. t_(j-1), j the first index with t_j < 1, each off by under a unit.
+    For i < 2k, i! <= ((i+1)/2)^i <= k^i (AM-GM), so t_i >= 1 and j >= 2k;
+    from there t_(i+1) / t_i = k / (i+1) < 1/2, so the remainder is below
+    2 t_j < 2 and hi = lo + j + 2.  As t_i <= e^k 2^K, t_(2k+r) < 1 once
+    r >= K + 2k, so hi - lo <= K + 4k + 3.  The floors are exact: with
+    k^i 2^K = q i! + r, 0 <= r < i!, the next q is (k q + floor(k r / i!)) // (i+1).
+    """
+    q, r, fact, i, lo = 1 << K, 0, 1, 0, 0
+    while q:
+        lo += q
+        i += 1
+        carry, r = divmod(k * r, fact)
+        q, u = divmod(k * q + carry, i)
+        r += u * fact
+        fact *= i
+    return lo, lo + i + 2
+
+
+def _exp_bits(tolerance: Fraction, k: int) -> int:
+    """A scale K at which _exp_fixed(i, K), i <= k, is at most 2^-8 tolerance
+    * 2^K units wide, so hermite_eps brackets compare across primes: with
+    k1 = grid_bits(tolerance) + 8 and L = (k1 + 4k + 3).bit_length(),
+    K = k1 + L + 1 gives K + 4k + 3 <= 2^L + L <= 2^(K - k1)."""
+    k1 = grid_bits(tolerance) + 8
+    return k1 + (k1 + 4 * k + 3).bit_length() + 1
+
+
+def _exp_interval(k: int, K: int) -> Interval:
+    lo, hi = _exp_fixed(k, K)
+    return Interval(Fraction(lo, 1 << K), Fraction(hi, 1 << K))
+
+
 def e_interval(tolerance) -> Interval:
-    """Rational interval containing e, of width <= tolerance, from the
-    factorial series with remainder < 2/(M+1)!."""
+    """Rational interval around e of width tolerance, from _exp_fixed."""
     tolerance = Fraction(tolerance)
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    # sum_{i<=m} 1/i! = num/m! in integers; the remainder is below 2/(m+1)!
-    num, fact, m = 1, 1, 0
-    while 2 * tolerance.denominator > tolerance.numerator * (m + 1) * fact:
-        m += 1
-        num = m * num + 1
-        fact *= m
-    total = Fraction(num, fact)
-    remainder = Fraction(2, (m + 1) * fact)
-    # pad out to the full width symmetrically; e sits in the raw bracket
-    # [total, total + remainder] but callers expect nearby decimal
-    # truncations (slightly below e) to land inside too
-    pad = (tolerance - remainder) / 2
-    return Interval(total - pad, total + remainder + pad)
-
-
-def _e_pow_interval(k: int, tolerance: Fraction) -> Interval:
-    """Interval for e^k of width <= tolerance."""
-    if k == 0:
-        return Interval.point(1)
-    guess = Fraction(tolerance) / (k * Fraction(4) ** k)
-    while True:
-        base = e_interval(guess)
-        powered = base.pow_int(k)
-        if powered.width <= tolerance:
-            return powered
-        guess /= 16
+    raw = _exp_interval(1, _exp_bits(tolerance, 1))
+    # pad out to the full width: callers expect nearby decimal truncations
+    # (slightly below e) to land inside too
+    return raw.widen((tolerance - raw.width) / 2)
 
 
 @dataclass(frozen=True)
@@ -193,25 +207,17 @@ class EpsEstimate:
     bound: Fraction
 
 
-_E_UPPER = None
-
-
 def _e_upper() -> Fraction:
-    global _E_UPPER
-    if _E_UPPER is None:
-        _E_UPPER = e_interval(Fraction(1, 10 ** 12)).hi
-    return _E_UPPER
+    return Fraction(_exp_fixed(1, 64)[1], 1 << 64)
 
 
 def hermite_eps(n: int, p: int, k: int, tolerance=Fraction(1, 10 ** 12)) -> EpsEstimate:
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    tolerance = Fraction(tolerance)
     m_values = hermite_Ms(n, p)
     m0, mk = m_values[0], m_values[k]
-    target = tolerance / max(1, abs(m0))
-    ek = _e_pow_interval(k, target)
-    interval = ek * m0 - mk
+    K = _exp_bits(Fraction(tolerance) / max(1, abs(m0)), k)
+    interval = _exp_interval(k, K) * m0 - mk
     a_n = Fraction(n) ** (n + 1)
     g_k = _e_upper() ** k * a_n
     bound = n * g_k * a_n ** (p - 1) / factorial(p - 1)
@@ -263,21 +269,20 @@ def nonvanish_certificate(coefficients, p_cap: int = 10_000) -> HermiteCertifica
     denom = lcm(*(c.denominator for c in b))
     scaled = [int(c * denom) for c in b]
     threshold = max(n, abs(scaled[0]), denom)
-    p = _next_prime(threshold)
+    p = _next_prime(min(threshold, p_cap))
     while p <= p_cap:
         m_values = hermite_Ms(n, p)
         m0 = m_values[0]
-        combination = sum(s * m for s, m in zip(scaled, m_values))
         checks = {
             "m0_nondivisible": (scaled[0] * m0) % p != 0,
             "mk_divisible": all(m % p == 0 for m in m_values[1:]),
         }
-        eps_ok, ledger, total_bound = _certify_eps(n, p, scaled, m_values)
-        checks["eps_half"] = eps_ok
-        if all(checks.values()):
+        if all(checks.values()):  # the cheap checks before the squeeze
+            checks["eps_half"], ledger, total_bound = _certify_eps(n, p, scaled, m_values)
+        if checks.get("eps_half"):
+            combination = sum(s * m for s, m in zip(scaled, m_values))
             if combination % p == 0:  # excluded by the two divisibility checks
                 raise IdentityViolated(f"{p} divides the integer combination")
-            lower = Fraction(1, 2 * denom * abs(m0))
             return HermiteCertificate(
                 coefficients=b,
                 common_denominator=denom,
@@ -286,7 +291,7 @@ def nonvanish_certificate(coefficients, p_cap: int = 10_000) -> HermiteCertifica
                 integer_combination=combination,
                 eps_bound_ledger=ledger,
                 eps_total_bound=total_bound,
-                lower_bound=lower,
+                lower_bound=Fraction(1, 2 * denom * abs(m0)),
                 checks=checks,
             )
         p = _next_prime(p)
@@ -295,28 +300,26 @@ def nonvanish_certificate(coefficients, p_cap: int = 10_000) -> HermiteCertifica
 
 def _certify_eps(n: int, p: int, scaled: List[int],
                  m_values: List[int]) -> Tuple[bool, List[Fraction], Fraction]:
-    """Squeeze sum_{k>=1} scaled[k] * (e^k M_0 - M_k) inside (-1/2, 1/2),
-    building each round's per-k terms once; the ledger is their bounds.  The
-    total bound is rounded up to a short dyadic rational, still a bound."""
-    half = Fraction(1, 2)
-    tolerance = Fraction(1, 4)
+    """Squeeze sum_{k>=1} scaled[k] * (e^k M_0 - M_k) inside (-1/2, 1/2) in
+    integers at scale 2^K: with lo <= e^k 2^K <= hi from _exp_fixed, the k-th
+    term lies between scaled[k] * (lo M_0 - (M_k << K)) and the same with hi.
+    The ledger holds each term's bound.  The total bound is rounded up to a
+    short dyadic rational, still a bound; an undecided total doubles K."""
     m0 = m_values[0]
-    for _ in range(60):
-        terms = []
+    K = m0.bit_length() + max(map(abs, scaled)).bit_length() + n.bit_length() + 32
+    for _ in range(4):
+        ledger, total_lo, total_hi = [], 0, 0
         for k in range(1, n + 1):
-            if scaled[k] == 0:
-                terms.append(Interval.point(0))
-                continue
-            per_term = tolerance / (n * abs(scaled[k]) * max(1, abs(m0)))
-            ek = _e_pow_interval(k, per_term)
-            terms.append((ek * m0 - m_values[k]) * scaled[k])
-        total = sum(terms, Interval.point(0))
-        bound = _round_up_dyadic(total.abs_hi())
-        if bound < half:
-            return True, [t.abs_hi() for t in terms], bound
-        if total.lo >= half or total.hi <= -half:
-            return False, [], Fraction(0)
-        tolerance /= 16
+            lo, hi = sorted(scaled[k] * (e * m0 - (m_values[k] << K))
+                            for e in _exp_fixed(k, K))
+            ledger.append(max(-lo, hi))
+            total_lo, total_hi = total_lo + lo, total_hi + hi
+        bound = _round_up_dyadic(Fraction(max(-total_lo, total_hi), 1 << K))
+        if bound < Fraction(1, 2):
+            return True, [Fraction(b, 1 << K) for b in ledger], bound
+        if total_lo << 1 >= 1 << K or total_hi << 1 <= -(1 << K):
+            break  # |total| >= 1/2
+        K *= 2
     return False, [], Fraction(0)
 
 
@@ -387,13 +390,10 @@ def combination_interval(coefficients, tolerance) -> Interval:
     """Interval for sum b_k e^k at the requested absolute tolerance."""
     b = [Fraction(c) for c in coefficients]
     n = len(b) - 1
-    tolerance = Fraction(tolerance)
+    K = _exp_bits(Fraction(tolerance) / max(1, sum(map(abs, b[1:]))), n)
     total = Interval.point(b[0])
     for k in range(1, n + 1):
-        if b[k] == 0:
-            continue
-        per = tolerance / (n * max(Fraction(1), abs(b[k])))
-        total = total + _e_pow_interval(k, per) * b[k]
+        total = total + _exp_interval(k, K) * b[k]
     return total
 
 
@@ -441,8 +441,7 @@ def pi_oracle(tolerance) -> Interval:
                     Fraction(center + slack, 1 << k))
 
 
-def e_oracle(tolerance) -> Interval:
-    return e_interval(tolerance)
+e_oracle = e_interval
 
 
 def _rational_convergents(alpha: Fraction, count: int) -> List[Convergent]:

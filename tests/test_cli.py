@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 import sympy
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hyperline import goldbach, hermite
 from hyperline.cli import eval_wat_expr, parse_rational, render, run
@@ -231,12 +233,44 @@ class TestDeterminismAndExitCodes:
         ["--depth", "ten", "wat", "--expr", "1#"],
         ["dirichlet", "--alpha", "1/0", "--count", "3"],
         ["hermite", "cert", "--coeffs", "3,1/0"],
+        ["hermite", "cert", "--coeffs", "0,1"],
+        ["sieve", "--steps", "1", "--depth", "1"],
     ], ids=" ".join)
     def test_bad_input_is_usage_error(self, capsys, argv):
         code = run(argv)
         err = capsys.readouterr().err
         assert code == 2
         assert "Traceback" not in err and "error" in err
+
+    @pytest.mark.parametrize("argv,option", [
+        (["extsum", "--series", "geom(1/2)", "--tolerance", "1e-5000", "--depth", "64"],
+         "--tolerance"),
+        (["extsum", "--series", "geom(1/2)", "--tolerance", "1e-3000000"], "--tolerance"),
+        (["extsum", "--series", "pser(2045)", "--depth", "64"], "--series"),
+        (["extsum", "--series", "alt(pser(1790))", "--depth", "64"], "--series"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+    def test_output_too_large_is_refused_up_front(self, capsys, argv, option):
+        # refused by the argparse type function, before any work runs
+        code = run(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"argument {option}:" in err and "4300" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["extsum", "--series", "pser(2040)", "--depth", "64"],
+        ["extsum", "--series", "geom(1/2)", "--tolerance", "1e-2140", "--depth", "64"],
+    ], ids=" ".join)
+    def test_output_just_below_the_limit_prints(self, capsys, argv):
+        code, out = capture(capsys, argv)
+        assert code == 0
+        assert json.loads(out)["series"] == argv[2]
+
+    def test_coefficient_beyond_prime_cap_exhausts_at_once(self, capsys):
+        # b_0 = 10^400 puts the first prime far above the cap; no search runs
+        code = run(["hermite", "cert", "--coeffs", "1e400,1"])
+        assert code == 4
+        assert "Traceback" not in capsys.readouterr().err
 
 
 def readme_cli_lines():
@@ -281,3 +315,54 @@ def test_readme_command_needs_no_mpmath(argv):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# CLI fuzz: argument lists from a small vocabulary.  Depth, p and series stay
+# small so each run takes milliseconds; values include negative, malformed
+# and huge-exponent ones.
+FUZZ_COMMANDS = {
+    ("goldbach",): {"--limit": ["1000", "4"]},
+    ("sieve",): {"--steps": ["3", "1"]},
+    ("extsum",): {"--series": ["geom(1/2)", "geom(-1/3)", "alt(pser(2))", "pser(2045)",
+                               "harmonic", "alt(harmonic)", "powers_recip", "geom(x)",
+                               "pser(0)"]},
+    ("hermite", "m"): {"--n": ["1", "3"], "--p": ["3", "5", "4"], "--k": ["0", "2"]},
+    ("hermite", "cert"): {"--coeffs": ["3,-1", "-87,32", "1/2,1/3,-1/7", "0,1", "1e400,1",
+                                       "3,1/0", "3"],
+                          "--p-cap": ["3", "100"]},
+    ("dirichlet",): {"--alpha": ["pi", "e", "7/3", "1e400", "tau"], "--count": ["4", "40"]},
+    ("liouville",): {"--m": ["2", "50"], "--n": ["2", "3"]},
+    ("wat",): {"--expr": ["1# + eps_d - eps_d", "2# - DELTA_d", "1# +", "omega#", "-1/2#"]},
+    ("frobnicate",): {},
+    (): {},
+}
+FUZZ_SHARED = {"--tolerance": ["1/1000", "1e-2000", "1e-5000", "1e-3000000", "1e400"],
+               "--format": ["json", "csv", "xml"], "--bogus": ["1"]}
+FUZZ_VALUES = ["0", "-1", "-87,32", "1e-3000000", "1e400", "nan", "inf", "1/0", "x", ""]
+FUZZ_DEPTHS = ["1", "2", "16", "64"]
+
+
+@st.composite
+def cli_argv(draw):
+    def value(good):  # four in five well formed
+        return draw(st.sampled_from(good if draw(st.integers(0, 4)) else FUZZ_VALUES))
+
+    command = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    argv = list(command)
+    for option, good in FUZZ_COMMANDS[command].items():
+        if draw(st.integers(0, 7)):  # required options are usually present
+            argv += [option, value(good)]
+    for _ in range(draw(st.integers(0, 2))):
+        option = draw(st.sampled_from(sorted(FUZZ_SHARED)))
+        argv += [option, value(FUZZ_SHARED[option])]
+    return argv + ["--depth", value(FUZZ_DEPTHS)]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=cli_argv())
+def test_cli_fuzz_exit_codes(capsys, argv):
+    code = run(argv)
+    err = capsys.readouterr().err
+    assert code in {0, 2, 3, 4}, (argv, err)
+    assert "Traceback" not in err, (argv, err)

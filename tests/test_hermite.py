@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 from math import factorial, gcd
@@ -156,6 +157,36 @@ class TestEInterval:
         assert tight.contains(F(2718281828, 10 ** 9))
 
 
+def first_small_term(k, K):
+    """The first i >= 2k with floor(k^i 2^K / i!) = 0, by direct division."""
+    i = 2 * k
+    while (k ** i << K) // factorial(i):
+        i += 1
+    return i
+
+
+class TestFixedPointKernel:
+    @pytest.mark.parametrize("k", range(9))
+    @pytest.mark.parametrize("K", [0, 1, 10, 64, 200, 600])
+    def test_brackets_e_power(self, k, K):
+        lo, hi = hermite._exp_fixed(k, K)
+        scaled = F(sympy.Rational(sympy.exp(k).evalf(300))) * 2 ** K
+        assert lo <= scaled < hi
+        assert hi - lo == first_small_term(k, K) + 2  # j floored terms + 2
+        assert hi - lo <= K + 4 * k + 3
+
+    @pytest.mark.parametrize("tolerance", [F(1), F(1, 3), F(1, 10 ** 12), F(7, 2 ** 300)])
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_scale_meets_tolerance(self, tolerance, k):
+        K = hermite._exp_bits(tolerance, k)
+        for i in range(k + 1):
+            lo, hi = hermite._exp_fixed(i, K)
+            assert F(hi - lo, 2 ** K) <= tolerance / 256
+
+    def test_e_upper(self):
+        assert E_50 < hermite._e_upper() < E_50 + F(1, 2 ** 56)
+
+
 class TestHermiteEps:
     def test_eps_1_3_is_32e_minus_87(self):
         estimate = hermite_eps(1, 3, 1)
@@ -248,6 +279,29 @@ class TestCertificates:
         assert verify_certificate(certificate_from_dict(doc)) is accepted
 
 
+# prime and a digest of the JSON M, I and lower_bound fields
+GOLDEN_CERTIFICATES = [
+    ("3,-1", 5, "7d170ed7ce2933bf0fb486fcf11dcbd6"),
+    ("-87,32", 89, "95b4509ac8308f30a67fbdf0777d1eb1"),
+    ("1,-1,1", 3, "90cd7c43fa0f27787ed94e4f4696a884"),
+    ("1/2,1/3,-1/7", 43, "5a37160e4630603e2d093e73306b8f66"),
+    ("2,0,-1", 3, "2294b9aa368de7d9baae10b6865805bc"),
+    ("7,1,1,-1,2,3", 53, "42513b40b859e04df6e99b6f0389c855"),
+    ("126,1,1,-2", 127, "d3aee2aa67bae20110c3a2badbea64d7"),
+]
+
+
+@pytest.mark.parametrize("text,prime,digest", GOLDEN_CERTIFICATES,
+                         ids=[g[0] for g in GOLDEN_CERTIFICATES])
+def test_golden_certificates(text, prime, digest):
+    cert = nonvanish_certificate([F(c) for c in text.split(",")])
+    doc = json.loads(json.dumps(cert.to_dict()))
+    fields = json.dumps([doc["M"], doc["I"], doc["lower_bound"]]).encode()
+    assert doc["prime"] == prime
+    assert hashlib.sha256(fields).hexdigest()[:32] == digest
+    assert verify_certificate(certificate_from_dict(doc))
+
+
 class TestLargeCertificate:
     # p = 127: the exact epsilon bound has thousands of digits, the stored
     # one is rounded up to a 64-bit dyadic rational
@@ -265,7 +319,7 @@ class TestLargeCertificate:
         monkeypatch.setattr(hermite, "_round_up_dyadic", lambda x: x)
         ok, _, exact = hermite._certify_eps(3, cert.prime, [126, 1, 1, -2], cert.M)
         assert ok
-        assert exact.denominator.bit_length() > 4300 * 3.33  # > 4300 digits
+        assert exact != cert.eps_total_bound
         assert exact <= cert.eps_total_bound < F(1, 2)
 
     @pytest.mark.parametrize("x", [F(0), F(1, 3), F(205, 6048), F(7, 2 ** 90),
