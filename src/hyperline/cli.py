@@ -98,6 +98,16 @@ def _series(text: str) -> extsum.SeriesSpec:
     return spec
 
 
+def _check_output_size(parser, args):
+    """Refuse, as a usage error, a `hermite m` whose M_k(n, p) has provably
+    more than _MAX_DIGITS digits: above _MAX_BITS + 1 bits it is at least
+    2^(_MAX_BITS + 1) > 10^_MAX_DIGITS."""
+    if args.command == "hermite" and args.hermite_command == "m":
+        if hermite.hermite_M_min_bits(args.n, args.p) > _MAX_BITS + 1:
+            parser.error(f"hermite m --n {args.n} --p {args.p}: "
+                         f"M would print more than {_MAX_DIGITS} digits")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     # The shared flags live on a parent parser with SUPPRESS defaults so they
     # can be given either before or after the subcommand (a subparser default
@@ -320,6 +330,7 @@ def run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(_attach_negative_values(argv))
+        _check_output_size(parser, args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     _apply_defaults(args)

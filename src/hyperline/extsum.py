@@ -32,6 +32,8 @@ DEFAULT_DEPTH = sf.DEFAULT_DEPTH
 DEFAULT_ETA_TERMS = 128
 DEFAULT_DIVERGENCE_PROBE = 64
 
+_ZERO = Fraction(0)
+
 NONNEG = "nonneg"
 NONPOS = "nonpos"
 SPLIT = "split"
@@ -49,10 +51,12 @@ class SeriesSpec:
             raise ValueError(f"unknown sign pattern {self.pattern!r}")
 
     def term_at(self, n: int) -> Fraction:
-        value = Fraction(self.term(n))
-        if self.pattern == NONNEG and value < 0:
+        value = self.term(n)
+        if type(value) is not Fraction:
+            value = Fraction(value)
+        if self.pattern == NONNEG and value.numerator < 0:
             raise ValueError(f"{self.label}: negative term at index {n}")
-        if self.pattern == NONPOS and value > 0:
+        if self.pattern == NONPOS and value.numerator > 0:
             raise ValueError(f"{self.label}: positive term at index {n}")
         return value
 
@@ -97,8 +101,31 @@ def alternating(inner: SeriesSpec) -> SeriesSpec:
 
 
 def partial_sums(spec: SeriesSpec) -> Hyperreal:
-    """The identity-permutation representative: the hyperreal of partial sums."""
-    return Hyperreal(sf.cumulative_gen(spec.term_at), label=f"sum[{spec.label}]")
+    """The identity-permutation representative: the hyperreal of partial sums.
+
+    Its bracket at scale ``k`` is ``(L_n, L_n + n + 1)``, ``L_n`` the sum of
+    ``floor(t_i * 2^k)`` over ``i <= n``: each of the ``n + 1`` floors is less
+    than one unit below its term.  One cumulative table of ``L_n`` is kept
+    per scale, so no exact partial sum is formed for it.
+    """
+    tables: dict = {}
+    lock = threading.Lock()
+
+    def bracket(n: int, k: int):
+        table = tables.get(k)
+        if table is None or n >= len(table):
+            with lock:
+                table = tables.setdefault(k, [])
+                total = table[-1] if table else 0
+                while len(table) <= n:
+                    term = spec.term_at(len(table))
+                    total += (term.numerator << k) // term.denominator
+                    table.append(total)
+        lo = table[n]
+        return lo, lo + n + 1
+
+    return Hyperreal(sf.cumulative_gen(spec.term_at), label=f"sum[{spec.label}]",
+                     bracket=bracket)
 
 
 @dataclass(frozen=True)
@@ -118,29 +145,39 @@ def split_parts(spec: SeriesSpec):
     Reindexing compactly (rather than padding with zeros) is what makes the
     alternating unit series collapse exactly: its halves sum to the all-ones
     and all-minus-ones partials, which cancel pointwise.  One shared cursor
-    reads each term's sign once and files its index under that sign; a half
-    re-reads the term at the index, so no term value is stored.
+    reads each term once and files its index and value under its sign.  A
+    zero term ``n`` with ``tail_bound(n) == 0`` ends the cursor, as every
+    later term is then 0; past its filed terms a half reads zero terms with
+    tail bound 0.
     """
-    positions = ([], [])  # original indices of the nonnegative, negative terms
-    cursor = [0]
+    filed = ([], [])  # (original index, value) of the nonnegative, negative terms
+    cursor = [0]      # the next index to read; None once the rest is certified 0
     lock = threading.Lock()
+    bound = spec.tail_bound
 
-    def pos(negative: bool, j: int) -> int:
-        mine = positions[negative]
+    def entry(negative: bool, j: int):
+        mine = filed[negative]
         if j < len(mine):
             return mine[j]
         with lock:
-            while len(mine) <= j:
+            while len(mine) <= j and cursor[0] is not None:
                 n = cursor[0]
-                positions[spec.term_at(n) < 0].append(n)
-                cursor[0] = n + 1
-        return mine[j]
-
-    bound = spec.tail_bound
+                value = spec.term_at(n)
+                filed[value.numerator < 0].append((n, value))
+                ended = not value and bound is not None and bound(n) == 0
+                cursor[0] = None if ended else n + 1
+        return mine[j] if j < len(mine) else None
 
     def half(negative, pattern, suffix):
-        return SeriesSpec(lambda j: spec.term_at(pos(negative, j)), pattern,
-                          None if bound is None else (lambda k: bound(pos(negative, k))),
+        def term(j):
+            found = entry(negative, j)
+            return _ZERO if found is None else found[1]
+
+        def tail(k):
+            found = entry(negative, k)
+            return _ZERO if found is None else bound(found[0])
+
+        return SeriesSpec(term, pattern, None if bound is None else tail,
                           spec.label + suffix)
 
     return half(False, NONNEG, "+"), half(True, NONPOS, "-")
@@ -154,14 +191,14 @@ def _eta_interval(spec: SeriesSpec, eta_terms: int) -> Interval:
     bits, whatever the size of the exact partial sum; a zero slack keeps
     the exact point.
 
-    That the tail bound is nonincreasing is checked at two points only, at
-    ``(eta_terms - 1) // 2`` and ``eta_terms - 1``; a certificate that rises
-    between or beyond them is not detected.
+    The tail bound is checked nonincreasing at every index of
+    ``[0, eta_terms)``; a certificate that rises beyond them is not detected.
     """
     partial = sum((spec.term_at(n) for n in range(eta_terms)), Fraction(0))
-    slack = Fraction(spec.tail_bound(eta_terms - 1))
-    if eta_terms > 1 and slack > Fraction(spec.tail_bound((eta_terms - 1) // 2)):
+    bounds = [Fraction(spec.tail_bound(n)) for n in range(eta_terms)]
+    if any(later > earlier for earlier, later in zip(bounds, bounds[1:])):
         raise ValueError(f"{spec.label}: tail bound is not nonincreasing")
+    slack = bounds[-1] if bounds else Fraction(spec.tail_bound(eta_terms - 1))
     if slack == 0:
         return Interval.point(partial)
     k = grid_bits(slack)

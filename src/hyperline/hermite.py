@@ -145,6 +145,30 @@ def hermite_Ms(n: int, p: int) -> List[int]:
     return result
 
 
+def hermite_M_min_bits(n: int, p: int) -> int:
+    """A lower bound on the bit length of every M_k(n, p), 0 <= k <= n, for
+    n >= 1 and p >= 2; 0 when the argument below gives nothing.
+
+    With N = (n+1) p - 1 and f(x) = x^(p-1) prod_(j<=n) (x-j)^p of degree N,
+    (p-1)! M_k = e^k I with I = int_k^inf f(x) e^-x dx.  f >= 0 on [n, inf),
+    and |f| <= n^(p-1) n^(np) = n^N on [k, n], so that part of I is at least
+    -n^(N+1).  For x >= 2n each x - j >= x/2, so f(x) >= x^N 2^(-np); as
+    N >= 2n + 1, [N, N+1] lies there, with x^N e^-x >= N^N e^-(N+1), so
+    I > A - n^(N+1), A = N^N / (2^(np) 3^(N+1)).  With bits(N) - 1 <= log2 N
+    and log2 3 < 2, log2 A >= L = N (bits(N) - 1) - np - 2 (N+1).  When
+    L >= (N+1) bits(n) + 1, n^(N+1) <= 2^(L-1) <= A/2, so I > 2^(L-1).  Then
+    M_k >= I / (p-1)! and (p-1)! < p^p <= 2^(p bits(p)) give
+    M_k > 2^(L - 1 - p bits(p)), at least L - p bits(p) bits.
+    """
+    if n < 1 or p < 2:
+        return 0
+    N = (n + 1) * p - 1
+    L = N * (N.bit_length() - 1) - n * p - 2 * (N + 1)
+    if L < (N + 1) * n.bit_length() + 1:
+        return 0
+    return max(0, L - p * p.bit_length())
+
+
 def hermite_M(n: int, p: int, k: int = 0) -> int:
     """The exact integer value of the weighted integral at shift k."""
     if not 0 <= k <= n:

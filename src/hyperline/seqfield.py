@@ -7,6 +7,14 @@ constant on a suffix ``[w, depth]`` of the inspected window with
 ``2*w <= depth``.  Everything that cannot be settled that way is reported
 as ``UNDETERMINED`` rather than guessed.
 
+A sequence may also carry an integer *bracket* ``bracket(n, k) -> (lo, hi)``
+with ``lo <= a(n) * 2^k <= hi``, cheaper to compute than ``a(n)`` itself
+(partial sums of series set one; ``+`` and ``-`` propagate it).  It only
+filters: ``classify`` decides an index from its bracket when the bracket
+lies within one tag and reads the exact ``a(n)`` otherwise, so its tags are
+the exact ones; ``shadow`` scans the brackets' hull, whose cells still hold
+every term.  A sequence without a bracket takes the exact path.
+
 Index origin is 0; classical sequences written from n = 1 are shifted.
 All values are immutable and generators must be pure, so any operation may
 be evaluated concurrently; the internal memo cache is only a benign
@@ -19,7 +27,7 @@ import enum
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 from .errors import (DivisionByZeroAtIndex, NotConvergentAtDepth,
                      UnlimitedValue, ZeroTailAtDepth)
@@ -73,14 +81,18 @@ class Hyperreal:
 
     ``const_value`` is the value of a sequence built by ``constant`` and
     None otherwise; it enables O(1) comparisons and exact shadows.
+    ``bracket``, when set, maps ``(n, k)`` to integers ``(lo, hi)`` with
+    ``lo <= a(n) * 2^k <= hi`` (see the module docstring).
     """
 
-    __slots__ = ("gen", "const_value", "label", "_cache", "_lock")
+    __slots__ = ("gen", "const_value", "label", "bracket", "_cache", "_lock")
 
-    def __init__(self, gen: Callable[[int], Fraction], label="<seq>"):
+    def __init__(self, gen: Callable[[int], Fraction], label="<seq>",
+                 bracket: Optional[Callable[[int, int], Tuple[int, int]]] = None):
         self.gen = gen
         self.const_value: Optional[Fraction] = None
         self.label = label
+        self.bracket = bracket
         self._cache: list = []
         self._lock = threading.Lock()
 
@@ -128,7 +140,8 @@ class Hyperreal:
             if qb == 1:
                 return self
         label = f"({self.label} {symbol} {other.label})"
-        return Hyperreal(lambda n, a=self, b=other: op(a.at(n), b.at(n)), label=label)
+        return Hyperreal(lambda n, a=self, b=other: op(a.at(n), b.at(n)), label=label,
+                         bracket=_combine_brackets(self.bracket, other.bracket, symbol))
 
     def __add__(self, other):
         return self._combine(other, lambda x, y: x + y, "+")
@@ -172,6 +185,21 @@ class Hyperreal:
 
     def __repr__(self):
         return f"Hyperreal({self.label})"
+
+
+def _combine_brackets(ba, bb, symbol):
+    """Bracket of a pointwise sum or difference; None unless both have one."""
+    if ba is None or bb is None or symbol not in "+-":
+        return None
+    if symbol == "+":
+        def bracket(n, k):
+            (lo_a, hi_a), (lo_b, hi_b) = ba(n, k), bb(n, k)
+            return lo_a + lo_b, hi_a + hi_b
+    else:
+        def bracket(n, k):
+            (lo_a, hi_a), (lo_b, hi_b) = ba(n, k), bb(n, k)
+            return lo_a - hi_b, hi_a - lo_b
+    return bracket
 
 
 class Hyperinteger:
@@ -325,11 +353,22 @@ def classify(a, depth: int = DEFAULT_DEPTH, probes: int = DEFAULT_PROBES) -> Cla
     """Bucket a hyperreal by finite evidence against probes 1/m and m, m <= probes.
 
     The tags are proxy verdicts: a constant below 1/probes *is* reported as
-    infinitesimal.  Callers pick the probe budget accordingly.
+    infinitesimal.  Callers pick the probe budget accordingly.  A bracketed
+    sequence is filtered at scale ``bits(probes) + bits(depth) + 8``.
     """
     if depth < 1 or probes < 1:
         raise ValueError("depth and probes must be >= 1")
-    a = make(a)
+    return _classify(make(a), depth, probes,
+                     probes.bit_length() + depth.bit_length() + 8)
+
+
+def _classify(a: Hyperreal, depth: int, probes: int, scale: int) -> ClassTag:
+    """``classify`` with the bracket, if any, read at ``2^scale``.
+
+    ``|a(n)|`` lies in ``[low, high] / 2^scale``, and the tag grows with
+    ``|a(n)|``, so the tags of ``low`` and ``high`` agreeing decide the tag
+    of ``a(n)``; when they differ the exact value is read.
+    """
     tiny = Fraction(1, probes)
     big = Fraction(probes)
 
@@ -344,18 +383,43 @@ def classify(a, depth: int = DEFAULT_DEPTH, probes: int = DEFAULT_PROBES) -> Cla
     q = a.const_value
     if q is not None:
         return tag_of(q)
-    return _half_window_tag(lambda n: tag_of(a.at(n)), depth, ClassTag.UNDETERMINED)
+    bracket = a.bracket
+    if bracket is None:
+        return _half_window_tag(lambda n: tag_of(a.at(n)), depth, ClassTag.UNDETERMINED)
+    one, top = 1 << scale, probes << scale
+
+    def scaled_tag(x):  # the tag of x / 2^scale, x >= 0
+        if x * probes < one:
+            return ClassTag.INFINITESIMAL
+        if x > top:
+            return ClassTag.UNLIMITED
+        return ClassTag.APPRECIABLE
+
+    def tag_at(n):
+        lo, hi = bracket(n, scale)
+        tag = scaled_tag(max(lo, -hi, 0))
+        if tag is scaled_tag(max(-lo, hi)):
+            return tag
+        return tag_of(a.at(n))
+
+    return _half_window_tag(tag_at, depth, ClassTag.UNDETERMINED)
 
 
 def shadow(a, tolerance, depth: int = DEFAULT_DEPTH) -> Interval:
     """Certified interval of width <= 2*tolerance around the sequence limit.
 
     The scan runs on the dyadic grid ``2^-k``, ``k`` the least integer with
-    ``2^-k <= tolerance/8``: term ``a(n)`` lies in the cell
-    ``[m_n, m_n + 1] / 2^k`` with ``m_n = floor(a(n) * 2^k)``.  The Cauchy
-    window grows down from ``depth`` while the hull ``[LO, HI]`` of its cells
-    spans at most ``tolerance/2``, and it must reach ``depth/2``.  The returned
-    interval ``[HI/2^k - tolerance, LO/2^k + tolerance]`` holds
+    ``2^-k <= tolerance/8``: term ``a(n)`` lies in a cell ``[l_n, h_n] / 2^k``,
+    with ``l_n = floor(a(n) * 2^k)`` and ``h_n = l_n + 1`` from the exact
+    value.  A bracketed sequence is read at the finer scale
+    ``f = k + bits(depth) + 3`` instead, and its bracket rounded outward to
+    the grid ``2^-k`` is the cell: it holds ``a(n)`` all the same.  A partial
+    sum's bracket is under ``(depth + 1) / 2^f <= 2^-(k+3)`` wide there, so
+    its cell is at most one grid step wider than the exact cell on either
+    side, and the window may stop earlier.  The Cauchy window grows down from
+    ``depth`` while the hull ``[LO, HI]`` of its cells spans at most
+    ``tolerance/2``, and it must reach ``depth/2``.  The returned interval
+    ``[HI/2^k - tolerance, LO/2^k + tolerance]`` holds
     ``[a(n) - tolerance/2, a(n) + tolerance/2]`` for every ``n`` in the window,
     so drift beyond the inspected depth of up to tolerance/2 stays covered.
     Its endpoints are rounded outward to the grid (their denominators divide
@@ -368,21 +432,31 @@ def shadow(a, tolerance, depth: int = DEFAULT_DEPTH) -> Interval:
     q = a.const_value
     if q is not None:
         return Interval.point(q)
-    if classify(a, depth) is ClassTag.UNLIMITED:
-        raise UnlimitedValue(f"{a.label} classified unlimited at depth {depth}")
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     k = grid_bits(tolerance / 8)
+    fine = k + depth.bit_length() + 3
+    if _classify(a, depth, DEFAULT_PROBES, fine) is ClassTag.UNLIMITED:
+        raise UnlimitedValue(f"{a.label} classified unlimited at depth {depth}")
     max_spread = (tolerance.numerator << k) // (2 * tolerance.denominator)
+    bracket = a.bracket
+    if bracket is None:
+        def cell(n):
+            v = a.at(n)
+            m = (v.numerator << k) // v.denominator
+            return m, m + 1
+    else:
+        shift = fine - k
 
-    def cell(n):
-        v = a.at(n)
-        return (v.numerator << k) // v.denominator
+        def cell(n):
+            lo, hi = bracket(n, fine)
+            return lo >> shift, -(-hi >> shift)
 
-    lo = cell(depth)
-    hi = lo + 1
+    lo, hi = cell(depth)
     w = depth
     for n in range(depth - 1, -1, -1):
-        m = cell(n)
-        new_lo, new_hi = min(lo, m), max(hi, m + 1)
+        cell_lo, cell_hi = cell(n)
+        new_lo, new_hi = min(lo, cell_lo), max(hi, cell_hi)
         if new_hi - new_lo > max_spread:
             break
         lo, hi, w = new_lo, new_hi, n

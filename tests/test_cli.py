@@ -19,6 +19,12 @@ from hyperline.cli import eval_wat_expr, parse_rational, render, run
 F = Fraction
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+CLI_MAIN = 'from hyperline.cli import main; import sys; sys.argv[0] = "hyperline"; main()'
+# Block mpmath: importing it in the child then raises ImportError.
+STDLIB_ONLY_MAIN = 'import sys; sys.modules["mpmath"] = None; ' + CLI_MAIN
+
+
 def capture(capsys, argv):
     code = run(argv)
     out = capsys.readouterr().out
@@ -266,6 +272,32 @@ class TestDeterminismAndExitCodes:
         assert code == 0
         assert json.loads(out)["series"] == argv[2]
 
+    def test_unprintable_hermite_integer_is_refused_up_front(self, capsys):
+        # M_0(3, 3001) has over 4300 digits; hermite_M_min_bits proves it
+        # before any of the expansion runs
+        code = run(["hermite", "m", "--n", "3", "--p", "3001", "--k", "0"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "would print more than 4300 digits" in err and "Traceback" not in err
+
+    def test_hermite_integer_just_below_the_limit_prints(self, capsys):
+        # M_1(1, 1307) has 4293 digits; the next prime, 1319, gives 4337
+        code, out = capture(capsys, ["hermite", "m", "--n", "1", "--p", "1307", "--k", "1"])
+        assert code == 0
+        assert len(json.loads(out)["M"]) == 4293
+
+    def test_all_zero_split_series_exits_at_once(self):
+        # the split cursor used to scan forever for a negative term
+        limit = ("import resource; "
+                 "resource.setrlimit(resource.RLIMIT_AS, (600 << 20, 600 << 20)); ")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", limit + CLI_MAIN, "extsum", "--series", "alt(geom(0))",
+             "--depth", "16"], env=env, capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["eta_interval"] == ["0", "0"]
+
     def test_coefficient_beyond_prime_cap_exhausts_at_once(self, capsys):
         # b_0 = 10^400 puts the first prime far above the cap; no search runs
         code = run(["hermite", "cert", "--coeffs", "1e400,1"])
@@ -298,13 +330,6 @@ class TestReadmeCommands:
             lo, hi = json.loads(doc["wst_interval"])
             assert F(lo) <= pi_lo ** 2 / 12 and pi_hi ** 2 / 12 <= F(hi)
             assert len(lo) < 40 and len(hi) < 40
-
-
-SRC = Path(__file__).resolve().parents[1] / "src"
-
-# Block mpmath: importing it in the child then raises ImportError.
-STDLIB_ONLY_MAIN = ('import sys; sys.modules["mpmath"] = None; '
-                    'from hyperline.cli import main; sys.argv[0] = "hyperline"; main()')
 
 
 @pytest.mark.parametrize("argv", readme_cli_lines(), ids=" ".join)

@@ -1,7 +1,11 @@
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperline import seqfield as sf
 from hyperline import wattenberg as wb
@@ -11,7 +15,8 @@ from hyperline.extsum import (BoundedPermutation, SeriesSpec, flat_sum,
                               partial_sums, pser, rearranged,
                               rearranged_flat_sum, scalar_mul_flat,
                               split_parts, upper_lower_limit, upper_lower_sum)
-from hyperline.seqfield import Verdict, make
+from hyperline.errors import NotConvergentAtDepth
+from hyperline.seqfield import Verdict, classify, make, shadow
 from hyperline.wattenberg import (dd_add, dd_eq, dd_neg, dd_scalar_mul, embed,
                                   eps_d, idem_eq, wst)
 
@@ -46,8 +51,8 @@ class TestPartialSums:
         assert partial_sums(plus).prefix(4) == [1, 2, 3, 4]
         assert partial_sums(minus).prefix(4) == [-1, -2, -3, -4]
 
-    def test_split_reads_each_term_twice(self):
-        # once for its sign, once as a term of its half
+    def test_split_reads_each_term_once(self):
+        # the cursor files each value with its sign; the halves reuse it
         reads = {}
 
         def term(n):
@@ -58,7 +63,7 @@ class TestPartialSums:
         assert [plus.term_at(j) for j in range(5)] == [F(1, 4) ** j for j in range(5)]
         assert [minus.term_at(j) for j in range(5)] == \
             [-F(1, 2) * F(1, 4) ** j for j in range(5)]
-        assert reads == {n: 2 for n in range(10)}
+        assert reads == {n: 1 for n in range(10)}
 
 
 class TestFlatSum:
@@ -100,6 +105,13 @@ class TestFlatSum:
                 for end in (eta.lo, eta.hi):
                     assert end.denominator & (end.denominator - 1) == 0
                     assert end.denominator < 2 / slack
+
+    def test_tail_bound_checked_on_whole_prefix(self):
+        # nonincreasing at 63 and 127, rising at 10
+        bound = lambda k: F(1) if k == 10 else F(1, 2 ** k)
+        spec = SeriesSpec(lambda n: F(1, 2 ** (n + 1)), "nonneg", bound, "bumpy")
+        with pytest.raises(ValueError, match="not nonincreasing"):
+            flat_sum(spec)
 
     def test_divergent_keeps_exact_embed(self):
         result = flat_sum(ONES)
@@ -320,3 +332,116 @@ class TestSeriesDsl:
             parse_series("wat(1)")
         with pytest.raises(ValueError):
             parse_series("geom")
+
+
+BRACKET_SERIES = ["geom(1/3)", "geom(2/5)", "geom(-1/3)", "pser(2)", "pser(3)",
+                  "alt(geom(1/2))", "alt(pser(2))", "powers_recip"]
+series_names = st.sampled_from(BRACKET_SERIES)
+
+
+def flat_h(text):
+    """The hyperreal part of a flat sum: the partial sums, or the sum of the
+    two halves' partial sums for a split series."""
+    return flat_sum(parse_series(text)).value.h
+
+
+class TestBrackets:
+    """The partial sums' dyadic brackets and the scans that read them."""
+
+    @given(first=series_names, second=series_names, n=st.integers(0, 300),
+           k=st.integers(0, 80))
+    @settings(deadline=None)
+    def test_bracket_holds(self, first, second, n, k):
+        a, b = flat_h(first), flat_h(second)
+        for c in (a, b, a + b, a - b):
+            lo, hi = c.bracket(n, k)
+            assert lo <= c.at(n) * 2 ** k <= hi
+
+    def test_partial_sum_bracket_width(self):
+        sums = partial_sums(pser(2))
+        for n in (0, 5, 99):
+            lo, hi = sums.bracket(n, 40)
+            assert hi - lo == n + 1
+
+    def test_bracket_tables_are_race_free(self):
+        # eight threads fill one table (and the split cursor) from different
+        # starting indices, with frequent thread switches
+        reference = flat_h("alt(geom(1/3))")
+        want = [reference.bracket(n, 40) for n in range(600)]
+        fresh = flat_h("alt(geom(1/3))")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(lambda s: [fresh.bracket(n, 40)
+                                                  for n in range(s, 600)], s)
+                           for s in range(0, 400, 50)]
+                results = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for s, got in zip(range(0, 400, 50), results):
+            assert got == want[s:]
+
+    @given(name=series_names, depth=st.integers(1, 200),
+           probes=st.sampled_from([1, 2, 3, 64, 4096]))
+    @settings(deadline=None)
+    def test_bracketed_classify_matches_exact(self, name, depth, probes):
+        h = flat_h(name)
+        exact = sf.Hyperreal(h.at)
+        assert exact.bracket is None
+        assert classify(h, depth, probes) is classify(exact, depth, probes)
+
+    @given(name=series_names, depth=st.integers(1, 300),
+           tolerance=st.fractions(min_value=F(1, 10 ** 9), max_value=2,
+                                  max_denominator=10 ** 9))
+    @settings(deadline=None)
+    def test_bracketed_shadow_soundness(self, name, depth, tolerance):
+        h = flat_h(name)
+        try:
+            interval = shadow(h, tolerance, depth)
+        except NotConvergentAtDepth:
+            return
+        half = tolerance / 2
+        for n in range(depth // 2, depth + 1):
+            assert interval.lo <= h.at(n) - half and h.at(n) + half <= interval.hi
+        assert interval.width <= 2 * tolerance
+        k = 0
+        while F(1, 2 ** k) > tolerance / 8:
+            k += 1
+        for end in (interval.lo, interval.hi):
+            assert (tolerance.denominator << k) % end.denominator == 0
+
+    @pytest.mark.parametrize("name,limit", [("geom(1/3)", F(1, 2)),
+                                            ("alt(geom(1/2))", F(1, 3)),
+                                            ("geom(-1/3)", F(-1, 4))])
+    def test_wst_holds_the_limit(self, name, limit):
+        tol = F(1, 10 ** 7)
+        interval = wst(flat_sum(parse_series(name)).value, tol)
+        assert interval.contains(limit) and interval.width <= 2 * tol
+
+    def test_all_zero_split_series_ends(self):
+        # every term of alt(geom(0)) is 0: the cursor stops at the first, as
+        # its tail bound is 0, instead of scanning for a negative term
+        inner = parse_series("alt(geom(0))")
+
+        def term(n):
+            if n > 100:
+                pytest.fail("the cursor ran past a tail certified zero")
+            return inner.term_at(n)
+
+        spec = SeriesSpec(term, inner.pattern, inner.tail_bound, inner.label)
+        plus, minus = split_parts(spec)
+        assert [minus.term_at(j) for j in range(3)] == [0, 0, 0]
+        assert [plus.term_at(j) for j in range(3)] == [0, 0, 0]
+        assert minus.tail_bound(5) == 0 and plus.tail_bound(0) == 0
+        result = flat_sum(spec, depth=16)
+        assert result.eta_interval.lo == result.eta_interval.hi == 0
+        assert wst(result.value, F(1, 10 ** 6), 16).contains(0)
+
+    def test_zero_terms_before_a_nonzero_tail_do_not_end(self):
+        # a zero term whose tail bound is positive leaves the cursor running
+        spec = SeriesSpec(lambda n: F(0) if n < 3 else F(-1, 2) ** n, "split",
+                          lambda k: F(1, 2) ** k, "late")
+        plus, minus = split_parts(spec)
+        assert minus.term_at(0) == F(-1, 8)
+        assert plus.term_at(3) == F(1, 16)

@@ -136,6 +136,17 @@ class TestHermiteIntegers:
     def test_all_shifts_match_symbolic_oracle(self, n, p):
         assert hermite_Ms(n, p) == sympy_hermite_Ms(n, p)
 
+    @pytest.mark.parametrize("n,p", [(1, 101), (1, 307), (2, 101), (2, 211),
+                                     (3, 101), (4, 53), (6, 31)])
+    def test_min_bits_is_a_lower_bound(self, n, p):
+        floor = hermite.hermite_M_min_bits(n, p)
+        assert floor > 0
+        assert all(abs(m).bit_length() >= floor for m in hermite_Ms(n, p))
+
+    @pytest.mark.parametrize("n,p", [(0, 5), (1, 1), (1, 2), (2, 3), (5, 7)])
+    def test_min_bits_gives_nothing_outside_its_range(self, n, p):
+        assert hermite.hermite_M_min_bits(n, p) == 0
+
     def test_inexact_division_raises(self, monkeypatch):
         # the (p-1)! division is an explicit check, kept under python -O
         monkeypatch.setattr(hermite, "factorial", lambda m: 7 ** 40)

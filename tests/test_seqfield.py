@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperline import seqfield as sf
@@ -291,6 +291,94 @@ class TestShadowSoundness:
             k += 1
         for end in (interval.lo, interval.hi):
             assert (tolerance.denominator << k) % end.denominator == 0
+
+
+def _bracketed(values, widen):
+    """The sequence ``values`` with a bracket that is the exact cell at scale
+    ``k`` widened by ``widen(n)`` units on each side."""
+    def bracket(n, k):
+        v = values(n)
+        m = (v.numerator << k) // v.denominator
+        below, above = widen(n)
+        return m - below, m + 1 + above
+
+    return sf.Hyperreal(values, bracket=bracket)
+
+
+# mostly tight brackets; a huge widening forces the exact fallback
+_widenings = st.lists(st.tuples(*[st.sampled_from([0, 0, 1, 3, 1 << 40])] * 2),
+                      min_size=1, max_size=5)
+
+
+class TestBrackets:
+    @given(xs=st.lists(_any_values, min_size=1, max_size=6),
+           ys=st.lists(_any_values, min_size=1, max_size=6),
+           widen=_widenings, k=st.integers(0, 70))
+    def test_sum_and_difference_brackets_hold(self, xs, ys, widen, k):
+        a = _bracketed(lambda n: xs[n % len(xs)], lambda n: widen[n % len(widen)])
+        b = _bracketed(lambda n: ys[n % len(ys)], lambda n: widen[-1 - n % len(widen)])
+        for c in (a + b, a - b, b - a, a + b - a):
+            for n in range(8):
+                lo, hi = c.bracket(n, k)
+                assert lo <= c.at(n) * 2 ** k <= hi
+
+    def test_unbracketed_operand_drops_the_bracket(self):
+        a = _bracketed(lambda n: F(1, n + 1), lambda n: (0, 0))
+        assert (a + sf.RECIPROCAL_SUCC).bracket is None
+        assert (a * a).bracket is None
+        assert (a + 0).bracket is a.bracket
+
+    @pytest.mark.parametrize("parity", [0, 1], ids=["even", "odd"])
+    @given(data=st.data(), widen=_widenings)
+    def test_bracketed_classify_matches_exact(self, parity, data, widen):
+        depth, (values,) = data.draw(depth_and_sequences(parity, 1))
+        exact = make(lambda n: values[n])
+        a = _bracketed(lambda n: values[n], lambda n: widen[n % len(widen)])
+        assert classify(a, depth) is classify(exact, depth) is reference_classify(exact, depth)
+
+    @pytest.mark.parametrize("value,tag", [
+        (F(-1), ClassTag.APPRECIABLE), (F(1, 2), ClassTag.APPRECIABLE),
+        (F(-100), ClassTag.UNLIMITED), (F(100), ClassTag.UNLIMITED),
+        (F(1, 1000), ClassTag.INFINITESIMAL), (F(-1, 1000), ClassTag.INFINITESIMAL)])
+    def test_classify_decides_from_a_tight_bracket(self, value, tag):
+        # a bracket clear of the probe boundaries settles every index alone
+        def unreadable(n):
+            pytest.fail(f"exact value read at index {n}")
+
+        a = _bracketed(lambda n: value, lambda n: (1, 1))
+        a.gen = unreadable
+        assert classify(a, 64) is tag
+
+    @given(limit=st.fractions(min_value=-10, max_value=10, max_denominator=1000),
+           scale=st.fractions(min_value=-5, max_value=5, max_denominator=50),
+           power=st.integers(0, 3),
+           tolerance=st.fractions(min_value=F(1, 10 ** 9), max_value=20,
+                                  max_denominator=10 ** 9),
+           depth=st.integers(1, 300), widen=_widenings)
+    @settings(deadline=None)
+    def test_bracketed_shadow_soundness(self, limit, scale, power, tolerance, depth,
+                                        widen):
+        # TestShadowSoundness's properties for the bracket hull scan
+        values = lambda n: limit + scale / F(n + 1) ** power
+        a = _bracketed(values, lambda n: widen[n % len(widen)])
+        try:
+            interval = shadow(a, tolerance, depth)
+        except NotConvergentAtDepth:
+            return
+        half = tolerance / 2
+        for n in range(depth // 2, depth + 1):
+            assert interval.lo <= values(n) - half and values(n) + half <= interval.hi
+        assert interval.width <= 2 * tolerance
+        k = 0
+        while F(1, 2 ** k) > tolerance / 8:
+            k += 1
+        for end in (interval.lo, interval.hi):
+            assert (tolerance.denominator << k) % end.denominator == 0
+
+    def test_bracketed_shadow_needs_depth(self):
+        a = _bracketed(lambda n: F(1, n + 1), lambda n: (0, 0))
+        with pytest.raises(ValueError):
+            shadow(a, F(1, 100), depth=0)
 
 
 class TestFloor:
