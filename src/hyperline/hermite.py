@@ -265,15 +265,72 @@ class HermiteCertificate:
 
     def to_dict(self) -> dict:
         return {
-            "coeffs": [[str(c.numerator), str(c.denominator)]
+            "coeffs": [[_to_decimal(c.numerator), _to_decimal(c.denominator)]
                        for c in self.coefficients],
             "prime": self.prime,
-            "M": [str(m) for m in self.M],
-            "I": str(self.integer_combination),
-            "eps_bound": str(self.eps_total_bound),
-            "lower_bound": str(self.lower_bound),
+            "M": [_to_decimal(m) for m in self.M],
+            "I": _to_decimal(self.integer_combination),
+            "eps_bound": _fraction_to_text(self.eps_total_bound),
+            "lower_bound": _fraction_to_text(self.lower_bound),
             "checks": dict(self.checks),
         }
+
+
+# Certificate integers outgrow CPython's 4300-digit limit on int <-> str
+# conversion (the degree-6 certificate of 11,2,-3,1,1,-1,1 has 4813 digits),
+# so they are converted in pieces of at most _DIGIT_CHUNK digits.  A string
+# longer than _MAX_DECIMAL_CHARS is refused, so a parse stays bounded.
+_DIGIT_CHUNK = 3000
+_MAX_DECIMAL_CHARS = 1 << 20
+
+
+def _to_decimal(x: int, width: int = 0) -> str:
+    """``str(x)``, zero-padded to ``width`` digits, from pieces converted
+    below the digit limit (divide and conquer on powers of ten)."""
+    if x < 0:
+        return "-" + _to_decimal(-x)
+    if x.bit_length() <= 3 * _DIGIT_CHUNK:  # below 2^(3c) < 10^c
+        return str(x).zfill(width)
+    k = x.bit_length() * 3 // 20  # about half the digits: 10^k < x
+    high, low = divmod(x, 10 ** k)
+    return _to_decimal(high, width - k) + _to_decimal(low, k)
+
+
+def _from_decimal(text) -> int:
+    """The integer of a decimal string: an optional ``-`` and ASCII digits,
+    at most ``_MAX_DECIMAL_CHARS`` characters."""
+    if not isinstance(text, str):
+        raise ValueError(f"expected a decimal string, got {type(text).__name__}")
+    if len(text) > _MAX_DECIMAL_CHARS:
+        raise ValueError(f"decimal string of {len(text)} characters is over the"
+                         f" {_MAX_DECIMAL_CHARS} cap")
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: {text[:40]!r}")
+    value = _parse_digits(digits)
+    return -value if text.startswith("-") else value
+
+
+def _parse_digits(digits: str) -> int:
+    if len(digits) <= _DIGIT_CHUNK:
+        return int(digits)
+    k = len(digits) // 2
+    return _parse_digits(digits[:-k]) * 10 ** k + _parse_digits(digits[-k:])
+
+
+def _fraction_to_text(q: Fraction) -> str:
+    """``str(q)`` for a Fraction of any size."""
+    if q.denominator == 1:
+        return _to_decimal(q.numerator)
+    return f"{_to_decimal(q.numerator)}/{_to_decimal(q.denominator)}"
+
+
+def _fraction_from_text(text) -> Fraction:
+    """Inverse of ``_fraction_to_text``: ``n`` or ``n/d`` in decimal."""
+    if not isinstance(text, str):
+        raise ValueError(f"expected a rational string, got {type(text).__name__}")
+    num, slash, den = text.partition("/")
+    return Fraction(_from_decimal(num), _from_decimal(den) if slash else 1)
 
 
 def nonvanish_certificate(coefficients, p_cap: int = 10_000) -> HermiteCertificate:
@@ -358,19 +415,22 @@ def certificate_from_dict(doc: dict) -> HermiteCertificate:
     """Rebuild a certificate from its JSON form (inverse of to_dict).
 
     The ledger fields not present in the wire format are reconstructed as
-    empty; verification recomputes them anyway.
+    empty; verification recomputes them anyway.  Numbers are decimal strings
+    (``n`` or ``n/d`` for rationals) of at most ``_MAX_DECIMAL_CHARS``
+    characters each; anything else raises ValueError.
     """
-    coeffs = [Fraction(int(num), int(den)) for num, den in doc["coeffs"]]
+    coeffs = [Fraction(_from_decimal(num), _from_decimal(den))
+              for num, den in doc["coeffs"]]
     denom = lcm(*(c.denominator for c in coeffs))
     return HermiteCertificate(
         coefficients=coeffs,
         common_denominator=denom,
         prime=int(doc["prime"]),
-        M=[int(m) for m in doc["M"]],
-        integer_combination=int(doc["I"]),
+        M=[_from_decimal(m) for m in doc["M"]],
+        integer_combination=_from_decimal(doc["I"]),
         eps_bound_ledger=[],
-        eps_total_bound=Fraction(doc["eps_bound"]),
-        lower_bound=Fraction(doc["lower_bound"]),
+        eps_total_bound=_fraction_from_text(doc["eps_bound"]),
+        lower_bound=_fraction_from_text(doc["lower_bound"]),
         checks=dict(doc["checks"]),
     )
 

@@ -7,6 +7,21 @@ constant on a suffix ``[w, depth]`` of the inspected window with
 ``2*w <= depth``.  Everything that cannot be settled that way is reported
 as ``UNDETERMINED`` rather than guessed.
 
+Only leaves memoize: user generators, the named sequences and partial sums.
+Their memo is keyed by index, so reading ``a(depth)`` evaluates that index
+alone.  The results of ``+ - *``, negation, ``abs``, ``tilde_inv`` and
+``constant`` are views: they keep no memo and read their operands at the
+same index, so a scan evaluates only the indices its verdict reads.
+
+A sequence may carry a closed *monomial form* ``(c, e)``: ``a(n) =
+c * (n+1)^e`` at every ``n >= 0``, with ``e = 0`` whenever ``c = 0``.
+Constants have ``e = 0``, ``OMEGA`` is ``(1, 1)`` and ``RECIPROCAL_SUCC``
+``(1, -1)``; products, ``tilde_inv``, negation and ``abs`` propagate it, and
+so do sums and differences of equal exponents.  A view with a form reads its
+values from the form.  ``compare``, ``classify`` and ``arch_compare`` decide
+two forms from their coefficients or from the window's two ends (the proofs
+are in their docstrings); every other case runs the scan.
+
 A sequence may also carry an integer *bracket* ``bracket(n, k) -> (lo, hi)``
 with ``lo <= a(n) * 2^k <= hi``, cheaper to compute than ``a(n)`` itself
 (partial sums of series set one; ``+`` and ``-`` propagate it).  It only
@@ -17,13 +32,14 @@ every term.  A sequence without a bracket takes the exact path.
 
 Index origin is 0; classical sequences written from n = 1 are shifted.
 All values are immutable and generators must be pure, so any operation may
-be evaluated concurrently; the internal memo cache is only a benign
-performance detail (recomputation yields identical values).
+be evaluated concurrently; the memos are only a benign performance detail
+(a race recomputes an identical value).
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,6 +55,9 @@ DEFAULT_PROBES = 64
 # Memoize only a bounded prefix; deeper indices are recomputed on the fly so
 # very deep scans do not pin memory.
 _CACHE_LIMIT = 1 << 17
+
+# The `_cache` of a view: it memoizes nothing, and its len() is 0.
+_NO_MEMO = ()
 
 
 class Verdict(enum.Enum):
@@ -74,32 +93,81 @@ class CompareResult:
 
 
 _UNDETERMINED = CompareResult(Verdict.UNDETERMINED, None)
+_BY_SIGN = (Verdict.LESS, Verdict.EQUAL, Verdict.GREATER)
+
+Form = Tuple[Fraction, int]
+
+
+def _monomial(c: Fraction, e: int) -> Form:
+    """The form ``(c, e)``; the zero sequence takes exponent 0."""
+    return (c, e) if c else (c, 0)
+
+
+def _form_gen(form: Form) -> Callable[[int], Fraction]:
+    c, e = form
+    if e == 0:
+        return lambda n: c
+    if e > 0:
+        return lambda n: c * (n + 1) ** e
+    return lambda n: c / (n + 1) ** -e
+
+
+def _combine_forms(fa: Optional[Form], fb: Optional[Form], op, symbol) -> Optional[Form]:
+    """Form of the pointwise ``a op b``, or None.
+
+    ``c_a (n+1)^e_a * c_b (n+1)^e_b = c_a c_b (n+1)^(e_a+e_b)``; for ``+``
+    and ``-`` with ``e_a = e_b = e`` the sum is ``(c_a op c_b) (n+1)^e``.  A
+    zero coefficient is the zero sequence, which is ``0 * (n+1)^e`` for every
+    ``e``, so it takes the other operand's exponent.
+    """
+    if fa is None or fb is None:
+        return None
+    (ca, ea), (cb, eb) = fa, fb
+    if symbol == "*":
+        return _monomial(ca * cb, ea + eb)
+    if not ca:
+        ea = eb
+    elif not cb:
+        eb = ea
+    return _monomial(op(ca, cb), ea) if ea == eb else None
 
 
 class Hyperreal:
     """Lazy exact-rational sequence; the computable face of a hyperreal.
 
-    ``const_value`` is the value of a sequence built by ``constant`` and
-    None otherwise; it enables O(1) comparisons and exact shadows.
-    ``bracket``, when set, maps ``(n, k)`` to integers ``(lo, hi)`` with
-    ``lo <= a(n) * 2^k <= hi`` (see the module docstring).
+    ``Hyperreal(gen)`` is a leaf: its values are memoized by index below
+    ``_CACHE_LIMIT``, so ``gen(n)`` runs once per index there (two threads
+    racing on one index may both run it).  ``form`` is the
+    monomial form or None (see the module docstring).  ``const_value`` is the
+    value of a sequence built by ``constant`` (whose label is that value) and
+    None otherwise; ``shadow`` takes it as an exact point.  ``bracket``, when
+    set, maps ``(n, k)`` to integers ``(lo, hi)`` with
+    ``lo <= a(n) * 2^k <= hi``.
     """
 
-    __slots__ = ("gen", "const_value", "label", "bracket", "_cache", "_lock")
+    __slots__ = ("gen", "form", "const_value", "label", "bracket", "_cache")
 
     def __init__(self, gen: Callable[[int], Fraction], label="<seq>",
                  bracket: Optional[Callable[[int, int], Tuple[int, int]]] = None):
         self.gen = gen
+        self.form: Optional[Form] = None
         self.const_value: Optional[Fraction] = None
         self.label = label
         self.bracket = bracket
-        self._cache: list = []
-        self._lock = threading.Lock()
+        self._cache = {}
+
+    @classmethod
+    def _view(cls, gen, label, form: Optional[Form] = None, bracket=None) -> "Hyperreal":
+        """A memo-free sequence; one with a form reads its values from it."""
+        h = cls(gen if form is None else _form_gen(form), label, bracket)
+        h.form = form
+        h._cache = _NO_MEMO
+        return h
 
     @classmethod
     def constant(cls, q) -> "Hyperreal":
         q = Fraction(q)
-        h = cls(lambda n: q, label=str(q))
+        h = cls._view(None, str(q), _monomial(q, 0))
         h.const_value = q
         return h
 
@@ -107,23 +175,26 @@ class Hyperreal:
         if n < 0:
             raise IndexError(n)
         cache = self._cache
-        if n < len(cache):  # append-only cache: hits need no lock
-            return cache[n]
-        if n >= _CACHE_LIMIT:
-            return Fraction(self.gen(n))
-        with self._lock:
-            while len(cache) <= n:
-                cache.append(Fraction(self.gen(len(cache))))
-        return cache[n]
+        if cache is _NO_MEMO:
+            return self.gen(n)
+        value = cache.get(n)
+        if value is None:
+            value = self.gen(n)
+            if type(value) is not Fraction:
+                value = Fraction(value)
+            if n < _CACHE_LIMIT:
+                cache[n] = value
+        return value
 
     def prefix(self, count: int) -> list:
         return [self.at(i) for i in range(count)]
 
     def _combine(self, other, op, symbol):
         other = make(other)
+        form = _combine_forms(self.form, other.form, op, symbol)
         qa, qb = self.const_value, other.const_value
         if qa is not None and qb is not None:
-            return Hyperreal.constant(op(qa, qb))
+            return Hyperreal.constant(form[0])
         # exact pointwise identities; they also keep labels readable
         if symbol == "+":
             if qa == 0:
@@ -139,52 +210,56 @@ class Hyperreal:
                 return other
             if qb == 1:
                 return self
-        label = f"({self.label} {symbol} {other.label})"
-        return Hyperreal(lambda n, a=self, b=other: op(a.at(n), b.at(n)), label=label,
-                         bracket=_combine_brackets(self.bracket, other.bracket, symbol))
+        return Hyperreal._view(lambda n, a=self, b=other: op(a.at(n), b.at(n)),
+                               f"({self.label} {symbol} {other.label})", form,
+                               _combine_brackets(self.bracket, other.bracket, symbol))
 
     def __add__(self, other):
-        return self._combine(other, lambda x, y: x + y, "+")
+        return self._combine(other, operator.add, "+")
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._combine(other, lambda x, y: x - y, "-")
+        return self._combine(other, operator.sub, "-")
 
     def __rsub__(self, other):
         return make(other) - self
 
     def __mul__(self, other):
-        return self._combine(other, lambda x, y: x * y, "*")
+        return self._combine(other, operator.mul, "*")
 
     __rmul__ = __mul__
 
+    def _pointwise(self, fn, label, form_map):
+        """The view ``fn(a(n))``, its form mapped by ``form_map(c, e)``; a
+        constant stays a constant."""
+        form = self.form and _monomial(*form_map(*self.form))
+        if self.const_value is not None:
+            return Hyperreal.constant(form[0])
+        return Hyperreal._view(lambda n, a=self: fn(a.at(n)), label, form)
+
     def __neg__(self):
-        q = self.const_value
-        if q is not None:
-            return Hyperreal.constant(-q)
-        return Hyperreal(lambda n, a=self: -a.at(n), label=f"(-{self.label})")
+        return self._pointwise(operator.neg, f"(-{self.label})", lambda c, e: (-c, e))
 
     def __abs__(self):
-        q = self.const_value
-        if q is not None:
-            return Hyperreal.constant(abs(q))
-        return Hyperreal(lambda n, a=self: abs(a.at(n)), label=f"|{self.label}|")
+        # (n+1)^e > 0, so |c (n+1)^e| = |c| (n+1)^e
+        return self._pointwise(abs, f"|{self.label}|", lambda c, e: (abs(c), e))
 
     def tilde_inv(self) -> "Hyperreal":
-        """Total pseudo-inverse: zero terms map to zero, others to 1/x."""
-        q = self.const_value
-        if q is not None:
-            return Hyperreal.constant(0 if q == 0 else 1 / q)
+        """Total pseudo-inverse: zero terms map to zero, others to 1/x.
 
-        def gen(n, a=self):
-            x = a.at(n)
-            return Fraction(0) if x == 0 else 1 / x
-
-        return Hyperreal(gen, label=f"~{self.label}")
+        A form with ``c != 0`` has no zero term, and ``1 / (c (n+1)^e) =
+        (1/c) (n+1)^-e``; the zero form maps to itself.
+        """
+        return self._pointwise(_pseudo_inverse, f"~{self.label}",
+                               lambda c, e: (_pseudo_inverse(c), -e))
 
     def __repr__(self):
         return f"Hyperreal({self.label})"
+
+
+def _pseudo_inverse(x: Fraction) -> Fraction:
+    return 1 / x if x else x
 
 
 def _combine_brackets(ba, bb, symbol):
@@ -203,20 +278,29 @@ def _combine_brackets(ba, bb, symbol):
 
 
 class Hyperinteger:
-    """Lazy exact-integer sequence; embeds losslessly into Hyperreal."""
+    """Lazy exact-integer sequence; embeds losslessly into Hyperreal.
 
-    __slots__ = ("gen", "label", "_cache", "_lock")
+    As with `Hyperreal`, ``Hyperinteger(gen)`` is a leaf memoized by index;
+    constants and the componentwise operations below are memo-free views.
+    """
+
+    __slots__ = ("gen", "label", "_cache")
 
     def __init__(self, gen: Callable[[int], int], label="<iseq>"):
         self.gen = gen
         self.label = label
-        self._cache: list = []
-        self._lock = threading.Lock()
+        self._cache = {}
+
+    @classmethod
+    def _view(cls, gen, label) -> "Hyperinteger":
+        h = cls(gen, label)
+        h._cache = _NO_MEMO
+        return h
 
     @classmethod
     def constant(cls, v: int) -> "Hyperinteger":
         v = int(v)
-        return cls(lambda n: v, label=str(v))
+        return cls._view(lambda n: v, str(v))
 
     @staticmethod
     def _checked(value, index):
@@ -228,29 +312,30 @@ class Hyperinteger:
         if n < 0:
             raise IndexError(n)
         cache = self._cache
-        if n < len(cache):
-            return cache[n]
-        if n >= _CACHE_LIMIT:
-            return self._checked(self.gen(n), n)
-        with self._lock:
-            while len(cache) <= n:
-                cache.append(self._checked(self.gen(len(cache)), len(cache)))
-        return cache[n]
+        if cache is _NO_MEMO:
+            return self.gen(n)
+        value = cache.get(n)
+        if value is None:
+            value = self._checked(self.gen(n), n)
+            if n < _CACHE_LIMIT:
+                cache[n] = value
+        return value
 
     def prefix(self, count: int) -> list:
         return [self.at(i) for i in range(count)]
 
     def to_hyperreal(self) -> Hyperreal:
-        return Hyperreal(lambda n, a=self: Fraction(a.at(n)), label=self.label)
+        return Hyperreal._view(lambda n, a=self: Fraction(a.at(n)), self.label)
 
     def __repr__(self):
         return f"Hyperinteger({self.label})"
 
 
-# The canonical named sequences.  Shared instances so memo caches are reused.
+# The canonical named sequences.  Shared leaves, so their memos are reused.
 OMEGA = Hyperreal(lambda n: Fraction(n + 1), label="omega")
+OMEGA.form = (Fraction(1), 1)
 RECIPROCAL_SUCC = Hyperreal(lambda n: Fraction(1, n + 1), label="1/(n+1)")
-
+RECIPROCAL_SUCC.form = (Fraction(1), -1)
 
 def cumulative_gen(term: Callable[[int], Fraction]) -> Callable[[int], Fraction]:
     """Generator of running sums of `term`, with its own thread-safe cache
@@ -310,15 +395,19 @@ def compare(a, b, depth: int = DEFAULT_DEPTH) -> CompareResult:
 
     Returns a decided verdict only when the sign of ``a - b`` is constant on
     a suffix ``[w, depth]`` with ``2*w <= depth``; the witness is that ``w``.
+
+    When the difference has a form ``(c, e)`` (both sides have forms, with
+    equal exponents or a zero coefficient), ``a(n) - b(n) = c (n+1)^e`` and
+    ``(n+1)^e > 0``, so its sign is the sign of ``c`` at every ``n >= 0``.
+    The scan would find that sign on all of ``[0, depth]``: the verdict is
+    read from ``c`` and the witness is 0.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     a, b = make(a), make(b)
-    qa, qb = a.const_value, b.const_value
-    if qa is not None and qb is not None:
-        s = _sign(qa - qb)
-        verdict = (Verdict.LESS, Verdict.EQUAL, Verdict.GREATER)[s + 1]
-        return CompareResult(verdict, 0)
+    gap = _combine_forms(a.form, b.form, operator.sub, "-")
+    if gap is not None:
+        return CompareResult(_BY_SIGN[_sign(gap[0]) + 1], 0)
     w = depth
     last = _sign(a.at(depth) - b.at(depth))
     for n in range(depth - 1, -1, -1):
@@ -327,11 +416,10 @@ def compare(a, b, depth: int = DEFAULT_DEPTH) -> CompareResult:
         w = n
     if 2 * w > depth:
         return _UNDETERMINED
-    verdict = (Verdict.LESS, Verdict.EQUAL, Verdict.GREATER)[last + 1]
-    return CompareResult(verdict, w)
+    return CompareResult(_BY_SIGN[last + 1], w)
 
 
-def _half_window_tag(tag_at, depth: int, undetermined):
+def _half_window_tag(tag_at, depth: int, undetermined, monotone: bool = False):
     """The tag shared by every index of ``[depth//2, depth]``, else
     ``undetermined``.
 
@@ -339,11 +427,16 @@ def _half_window_tag(tag_at, depth: int, undetermined):
     it holds on that whole range.  ``tag_at`` names the one predicate (of a
     mutually exclusive set) that holds at an index, or None for none of them,
     so one pass decides them all and stops at the first disagreement.
+
+    ``monotone`` says that the tags, in their natural order, are monotone in
+    ``n``: then every index between two with the same tag has that tag too,
+    and the two ends of the window decide it.
     """
     tag = tag_at(depth)
     if tag is None:
         return undetermined
-    for n in range(depth - 1, depth // 2 - 1, -1):
+    lower = (depth // 2,) if monotone else range(depth - 1, depth // 2 - 1, -1)
+    for n in lower:
         if tag_at(n) is not tag:
             return undetermined
     return tag
@@ -368,6 +461,9 @@ def _classify(a: Hyperreal, depth: int, probes: int, scale: int) -> ClassTag:
     ``|a(n)|`` lies in ``[low, high] / 2^scale``, and the tag grows with
     ``|a(n)|``, so the tags of ``low`` and ``high`` agreeing decide the tag
     of ``a(n)``; when they differ the exact value is read.
+
+    For a form ``(c, e)``, ``|a(n)| = |c| (n+1)^e`` is monotone in ``n``, so
+    its tag is too, and the window's two ends decide it.
     """
     tiny = Fraction(1, probes)
     big = Fraction(probes)
@@ -380,12 +476,11 @@ def _classify(a: Hyperreal, depth: int, probes: int, scale: int) -> ClassTag:
             return ClassTag.UNLIMITED
         return ClassTag.APPRECIABLE
 
-    q = a.const_value
-    if q is not None:
-        return tag_of(q)
+    monotone = a.form is not None
     bracket = a.bracket
-    if bracket is None:
-        return _half_window_tag(lambda n: tag_of(a.at(n)), depth, ClassTag.UNDETERMINED)
+    if bracket is None or monotone:
+        return _half_window_tag(lambda n: tag_of(a.at(n)), depth, ClassTag.UNDETERMINED,
+                                monotone)
     one, top = 1 << scale, probes << scale
 
     def scaled_tag(x):  # the tag of x / 2^scale, x >= 0
@@ -477,7 +572,7 @@ def hyper_floor(a) -> Hyperinteger:
         value = a.at(n)
         return value.numerator // value.denominator
 
-    return Hyperinteger(gen, label=f"floor({a.label})")
+    return Hyperinteger._view(gen, f"floor({a.label})")
 
 
 def divides(a: Hyperinteger, d: Hyperinteger) -> Callable[[int], bool]:
@@ -513,8 +608,8 @@ def div_rem(a: Hyperinteger, d: Hyperinteger):
             raise DivisionByZeroAtIndex(n)
         return _eucl_divmod(a.at(n), di)[1]
 
-    return (Hyperinteger(quot, label=f"({a.label} div {d.label})"),
-            Hyperinteger(rem, label=f"({a.label} mod {d.label})"))
+    return (Hyperinteger._view(quot, f"({a.label} div {d.label})"),
+            Hyperinteger._view(rem, f"({a.label} mod {d.label})"))
 
 
 def _xgcd(a: int, b: int):
@@ -531,20 +626,42 @@ def _xgcd(a: int, b: int):
     return old_r, old_s, old_t
 
 
+def _memoized(fn: Callable[[int], tuple]) -> Callable[[int], tuple]:
+    """``fn`` with a leaf's memo: keyed by index, bounded by ``_CACHE_LIMIT``."""
+    memo: dict = {}
+
+    def read(n):
+        value = memo.get(n)
+        if value is None:
+            value = fn(n)
+            if n < _CACHE_LIMIT:
+                memo[n] = value
+        return value
+
+    return read
+
+
 def gcd_bezout(a: Hyperinteger, d: Hyperinteger):
-    """Componentwise gcd with Bezout witnesses: g(i) = s(i)*a(i) + t(i)*d(i)."""
-    g = Hyperinteger(lambda n: _xgcd(a.at(n), d.at(n))[0],
-                     label=f"gcd({a.label},{d.label})")
-    s = Hyperinteger(lambda n: _xgcd(a.at(n), d.at(n))[1], label="bezout-s")
-    t = Hyperinteger(lambda n: _xgcd(a.at(n), d.at(n))[2], label="bezout-t")
-    return g, s, t
+    """Componentwise gcd with Bezout witnesses: g(i) = s(i)*a(i) + t(i)*d(i).
+
+    One memoized triple per index; g, s and t are views of it.
+    """
+    triple = _memoized(lambda n: _xgcd(a.at(n), d.at(n)))
+    return (Hyperinteger._view(lambda n: triple(n)[0], f"gcd({a.label},{d.label})"),
+            Hyperinteger._view(lambda n: triple(n)[1], "bezout-s"),
+            Hyperinteger._view(lambda n: triple(n)[2], "bezout-t"))
 
 
 def arch_compare(a, b, depth: int = DEFAULT_DEPTH,
                  probes: int = DEFAULT_PROBES) -> ArchClass:
     """Compare archimedean classes: SAME when both ratios stay bounded by the
     probe budget on a witnessed suffix, LOWER when |a/b| drops below 1/probes
-    (evidence that a = o(b)), HIGHER symmetrically."""
+    (evidence that a = o(b)), HIGHER symmetrically.
+
+    For two forms, a zero coefficient is a zero sequence, and otherwise
+    ``|a(n)/b(n)| = |c_a/c_b| (n+1)^(e_a - e_b)`` is monotone in ``n``, as
+    is its tag (LOWER < SAME < HIGHER), so the window's two ends decide it.
+    """
     a, b = make(a), make(b)
     tiny = Fraction(1, probes)
     big = Fraction(probes)
@@ -560,15 +677,14 @@ def arch_compare(a, b, depth: int = DEFAULT_DEPTH,
             return ArchClass.HIGHER
         return ArchClass.SAME
 
-    qa, qb = a.const_value, b.const_value
-    if qa is not None and qb is not None:
-        if qa == 0 or qb == 0:
-            raise ZeroTailAtDepth("an operand is zero on the whole inspected suffix")
-        return tag_of(qa, qb)
-    start = (depth + 1) // 2
-    a_zero = all(a.at(n) == 0 for n in range(start, depth + 1))
-    b_zero = all(b.at(n) == 0 for n in range(start, depth + 1))
-    if a_zero or b_zero:
+    monotone = a.form is not None and b.form is not None
+    if monotone:
+        zero_tail = not a.form[0] or not b.form[0]
+    else:
+        window = range((depth + 1) // 2, depth + 1)
+        zero_tail = (all(a.at(n) == 0 for n in window)
+                     or all(b.at(n) == 0 for n in window))
+    if zero_tail:
         raise ZeroTailAtDepth("an operand is zero on the whole inspected suffix")
     return _half_window_tag(lambda n: tag_of(a.at(n), b.at(n)), depth,
-                            ArchClass.UNDETERMINED)
+                            ArchClass.UNDETERMINED, monotone)

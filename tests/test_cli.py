@@ -93,6 +93,15 @@ class TestOutputs:
         rebuilt = hermite.certificate_from_dict(doc)
         assert hermite.verify_certificate(rebuilt)
 
+    def test_degree_six_certificate_prints(self, capsys):
+        # I and M_0 have 4813 digits, past the interpreter's 4300-digit limit
+        code, out = capture(capsys, ["hermite", "cert", "--coeffs", "11,2,-3,1,1,-1,1"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["prime"] == 269
+        assert len(doc["I"]) == 4813
+        assert hermite.verify_certificate(hermite.certificate_from_dict(doc))
+
     @pytest.mark.parametrize("argv,coeffs", [
         (["--coeffs", "-87,32"], [-87, 32]),
         (["--coeffs=-87,32"], [-87, 32]),

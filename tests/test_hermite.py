@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from fractions import Fraction
 from math import factorial, gcd
 
@@ -342,6 +343,55 @@ class TestLargeCertificate:
         assert den & (den - 1) == 0
         odd_part = num >> max(0, (num & -num).bit_length() - 1)
         assert odd_part.bit_length() <= 65
+
+
+def _decimal_reference(text):
+    """The integer of a digit string, by Horner's rule over 1000-digit pieces."""
+    value = 0
+    for i in range(0, len(text), 1000):
+        piece = text[i:i + 1000]
+        value = value * 10 ** len(piece) + int(piece)
+    return value
+
+
+class TestDecimalChunks:
+    """Certificate numbers past CPython's 4300-digit int <-> str limit."""
+
+    @pytest.mark.parametrize("length", [1, 2999, 3000, 3001, 4300, 4301, 9001, 40000])
+    def test_round_trip(self, length):
+        rng = random.Random(length)
+        for lead in "19":
+            text = lead + "".join(rng.choice("0123456789") for _ in range(length - 1))
+            x = _decimal_reference(text)
+            assert hermite._from_decimal(text) == x
+            assert hermite._to_decimal(x) == text
+            assert hermite._to_decimal(-x) == "-" + text
+            assert hermite._from_decimal("-" + text) == -x
+        # the zero padding of each low half
+        for x in (10 ** length - 1, 10 ** length + 1, 3 * 10 ** length):
+            assert hermite._from_decimal(hermite._to_decimal(x)) == x
+        assert hermite._to_decimal(10 ** length) == "1" + "0" * length
+
+    @pytest.mark.parametrize("text", ["", "-", "+5", " 5", "5_000", "1.5", "\u0663",
+                                      "1e5", "0x10"])
+    def test_rejects_non_decimal(self, text):
+        with pytest.raises(ValueError):
+            hermite._from_decimal(text)
+
+    def test_from_dict_refuses_over_the_cap(self):
+        doc = nonvanish_certificate([F(3), F(-1)]).to_dict()
+        doc["I"] = "9" * (hermite._MAX_DECIMAL_CHARS + 1)
+        with pytest.raises(ValueError, match="cap"):
+            certificate_from_dict(doc)
+        doc = nonvanish_certificate([F(3), F(-1)]).to_dict()
+        doc["lower_bound"] = "1/" + "7" * (hermite._MAX_DECIMAL_CHARS + 1)
+        with pytest.raises(ValueError, match="cap"):
+            certificate_from_dict(doc)
+
+    def test_fractions_print_as_str(self):
+        for q in (F(0), F(-3), F(5, 7), F(-2 ** 64 - 1, 3 ** 40)):
+            assert hermite._fraction_to_text(q) == str(q)
+            assert hermite._fraction_from_text(str(q)) == q
 
 
 class TestConvergents:

@@ -1,3 +1,5 @@
+import math
+import operator
 import random
 from fractions import Fraction
 
@@ -484,6 +486,185 @@ class TestConcurrentEvaluation:
         for run in results:
             assert run == reference
         assert tower.prefix(3000) == reference
+
+    def test_lock_free_memos_under_thread_switching(self):
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        value = lambda n: F(n * n + 1, n + 2)
+        leaf = make(value)
+        g, s, t = gcd_bezout(sf.Hyperinteger(lambda n: 6 * n + 4),
+                             sf.Hyperinteger(lambda n: 4 * n + 10))
+
+        def work(seed):
+            rng = random.Random(seed)
+            for _ in range(3000):
+                n = rng.randrange(400)
+                assert leaf.at(n) == value(n)
+                assert g.at(n) == s.at(n) * (6 * n + 4) + t.at(n) * (4 * n + 10)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                for future in [pool.submit(work, seed) for seed in range(8)]:
+                    future.result(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert leaf._cache and all(v == value(n) for n, v in leaf._cache.items())
+
+
+def reference_compare(xs, ys, depth):
+    """Plain list scan: the sign of xs - ys on the longest suffix of
+    [0, depth], decided when it starts at most depth/2."""
+    signs = [(x > y) - (x < y) for x, y in zip(xs, ys)]
+    w = depth
+    while w > 0 and signs[w - 1] == signs[depth]:
+        w -= 1
+    if 2 * w > depth:
+        return sf.CompareResult(Verdict.UNDETERMINED, None)
+    verdict = (Verdict.LESS, Verdict.EQUAL, Verdict.GREATER)[signs[depth] + 1]
+    return sf.CompareResult(verdict, w)
+
+
+# coefficients on both sides of the probe thresholds 1/64 and 64, and zero
+_coefficients = st.sampled_from([F(0), F(1), F(-1), F(1, 64), F(-1, 65), F(64),
+                                 F(65), F(3, 2), F(-7, 3), F(1, 4096)])
+
+
+def _leaf(value):
+    if isinstance(value, str):
+        return make(value), {"omega": lambda n: F(n + 1),
+                             "reciprocal_succ": lambda n: F(1, n + 1)}[value]
+    return make(value), lambda n: value
+
+
+def _pointwise(pair, fn):
+    seq, plain = pair
+    return fn(seq), lambda n: fn(plain(n))
+
+
+def _binary(pairs, fn):
+    (a, pa), (b, pb) = pairs
+    return fn(a, b), lambda n: fn(pa(n), pb(n))
+
+
+def _extend(children):
+    pairs = st.tuples(children, children)
+    return st.one_of(
+        children.map(lambda p: _pointwise(p, operator.neg)),
+        children.map(lambda p: _pointwise(p, abs)),
+        children.map(lambda p: (p[0].tilde_inv(),
+                                lambda n, f=p[1]: 1 / f(n) if f(n) else F(0))),
+        pairs.map(lambda ps: _binary(ps, operator.mul)),
+        pairs.map(lambda ps: _binary(ps, operator.add)),
+        pairs.map(lambda ps: _binary(ps, operator.sub)))
+
+
+# (sequence, plain generator) pairs over the monomial forms' building blocks
+monomial_trees = st.recursive(
+    st.one_of(_coefficients, st.sampled_from(["omega", "reciprocal_succ"])).map(_leaf),
+    _extend, max_leaves=6)
+
+
+class TestMonomialForms:
+    """The closed-form fast paths against plain scans of the same values."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(x=monomial_trees, y=monomial_trees, depth=st.integers(1, 160))
+    def test_fast_paths_match_scans(self, x, y, depth):
+        (a, pa), (b, pb) = x, y
+        xs = [pa(n) for n in range(depth + 1)]
+        ys = [pb(n) for n in range(depth + 1)]
+        for seq, values in ((a, xs), (b, ys)):
+            assert [seq.at(n) for n in range(depth + 1)] == values
+            if seq.form is not None:
+                c, e = seq.form
+                assert values == [c * F(n + 1) ** e for n in range(depth + 1)]
+        plain_a, plain_b = make(lambda n: xs[n]), make(lambda n: ys[n])
+        assert compare(a, b, depth) == reference_compare(xs, ys, depth)
+        assert classify(a, depth) is reference_classify(plain_a, depth)
+        assert _outcome(arch_compare, a, b, depth) is \
+            _outcome(reference_arch_compare, plain_a, plain_b, depth)
+
+    def test_forms_propagate(self):
+        omega, recip = sf.OMEGA, sf.RECIPROCAL_SUCC
+        assert (make(3) * omega).form == (3, 1)
+        assert (omega * recip).form == (1, 0)
+        assert (omega * omega - make(F(1, 2)) * omega * omega).form == (F(1, 2), 2)
+        assert (omega - omega).form == (0, 0)
+        assert (omega + recip).form is None
+        assert (omega + make(0) * recip).form == (1, 1)
+        assert (-recip).form == (-1, -1)
+        assert abs(make(-2) * recip).form == (2, -1)
+        assert (make(4) * omega).tilde_inv().form == (F(1, 4), -1)
+        assert (make(lambda n: F(n)) * omega).form is None
+
+    def test_forms_keep_labels_and_constants(self):
+        # a composite whose form is constant is not folded into a constant
+        product = sf.OMEGA * sf.RECIPROCAL_SUCC
+        assert product.label == "(omega * 1/(n+1))"
+        assert product.const_value is None
+        assert (product + 1).label == "((omega * 1/(n+1)) + 1)"
+        assert (make(2) * make(F(1, 3)) - 1).label == "-1/3"
+        assert make(F(2, 3)).form == (F(2, 3), 0)
+
+    def test_equal_exponents_decide_without_a_scan(self):
+        def unreadable(n):
+            pytest.fail(f"value read at index {n}")
+
+        a, b = make(3) * sf.OMEGA, make(2) * sf.OMEGA
+        a.gen = b.gen = unreadable
+        assert compare(a, b, 4096) == sf.CompareResult(Verdict.GREATER, 0)
+        assert compare(b, a + 0, 7) == sf.CompareResult(Verdict.LESS, 0)
+
+
+class TestMemos:
+    def test_composites_hold_no_memo(self):
+        a = make(lambda n: F(n, 3))
+        b = make(lambda n: F(2 * n + 1))
+        i = sf.Hyperinteger(lambda n: 5 * n + 7)
+        j = sf.Hyperinteger(lambda n: 3 * n + 2)
+        views = [a + b, a - b, a * b, -a, abs(a), a.tilde_inv(), make(F(3, 4)),
+                 sf.OMEGA * 3, sf.RECIPROCAL_SUCC + sf.HARMONIC, i.to_hyperreal(),
+                 hyper_floor(a), *div_rem(i, j), *gcd_bezout(i, j),
+                 sf.Hyperinteger.constant(4)]
+        for view in views:
+            view.at(40)
+            view.prefix(5)
+            assert view._cache == ()
+            assert not hasattr(view, "_lock")
+            assert len(view._cache) == 0
+
+    def test_cold_leaf_read_calls_its_generator_once(self):
+        calls = []
+        a = make(lambda n: calls.append(n) or F(n, 7))
+        assert a.at(4096) == F(4096, 7)
+        assert a.at(4096) == F(4096, 7)
+        assert calls == [4096]
+
+    def test_scan_reads_only_the_half_window(self):
+        calls = []
+        a = make(lambda n: calls.append(n) or F(1, (n + 1) ** 2))
+        assert classify(a * 2, depth=100) is ClassTag.INFINITESIMAL
+        assert sorted(calls) == list(range(50, 101))
+
+    def test_leaf_keeps_a_fraction_it_is_given(self):
+        value = F(5, 3)
+        a = make(lambda n: value)
+        assert a.at(3) is value
+        assert type(make(lambda n: n).at(3)) is F
+
+    def test_gcd_bezout_runs_xgcd_once_per_index(self, monkeypatch):
+        calls = []
+        xgcd = sf._xgcd
+        monkeypatch.setattr(sf, "_xgcd", lambda x, y: calls.append((x, y)) or xgcd(x, y))
+        g, s, t = gcd_bezout(sf.Hyperinteger(lambda n: 6 * n + 4),
+                             sf.Hyperinteger(lambda n: 4 * n + 10))
+        for i in range(30):
+            assert g.at(i) == s.at(i) * (6 * i + 4) + t.at(i) * (4 * i + 10)
+            assert g.at(i) == math.gcd(6 * i + 4, 4 * i + 10)
+        assert len(calls) == 30
 
 
 class TestOracleEquivalenceBulk:
