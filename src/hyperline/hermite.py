@@ -330,7 +330,22 @@ def _fraction_from_text(text) -> Fraction:
     if not isinstance(text, str):
         raise ValueError(f"expected a rational string, got {type(text).__name__}")
     num, slash, den = text.partition("/")
-    return Fraction(_from_decimal(num), _from_decimal(den) if slash else 1)
+    return _rational(num, den if slash else "1")
+
+
+def _rational(num, den) -> Fraction:
+    """``num / den`` from two decimal strings; a zero ``den`` is refused."""
+    n, d = _from_decimal(num), _from_decimal(den)
+    if d == 0:
+        raise ValueError(f"zero denominator under {num[:40]!r}")
+    return Fraction(n, d)
+
+
+def _prime_from_json(value) -> int:
+    """The certificate's prime, which ``to_dict`` writes as a JSON integer."""
+    if type(value) is not int:
+        raise ValueError(f"prime must be a JSON integer, got {value!r:.40}")
+    return value
 
 
 def nonvanish_certificate(coefficients, p_cap: int = 10_000) -> HermiteCertificate:
@@ -416,16 +431,16 @@ def certificate_from_dict(doc: dict) -> HermiteCertificate:
 
     The ledger fields not present in the wire format are reconstructed as
     empty; verification recomputes them anyway.  Numbers are decimal strings
-    (``n`` or ``n/d`` for rationals) of at most ``_MAX_DECIMAL_CHARS``
-    characters each; anything else raises ValueError.
+    (``n`` or ``n/d`` with ``d != 0`` for rationals) of at most
+    ``_MAX_DECIMAL_CHARS`` characters each, and the prime is a JSON integer;
+    anything else raises ValueError.
     """
-    coeffs = [Fraction(_from_decimal(num), _from_decimal(den))
-              for num, den in doc["coeffs"]]
+    coeffs = [_rational(num, den) for num, den in doc["coeffs"]]
     denom = lcm(*(c.denominator for c in coeffs))
     return HermiteCertificate(
         coefficients=coeffs,
         common_denominator=denom,
-        prime=int(doc["prime"]),
+        prime=_prime_from_json(doc["prime"]),
         M=[_from_decimal(m) for m in doc["M"]],
         integer_combination=_from_decimal(doc["I"]),
         eps_bound_ledger=[],

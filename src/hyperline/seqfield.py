@@ -17,8 +17,8 @@ A sequence may carry a closed *monomial form* ``(c, e)``: ``a(n) =
 c * (n+1)^e`` at every ``n >= 0``, with ``e = 0`` whenever ``c = 0``.
 Constants have ``e = 0``, ``OMEGA`` is ``(1, 1)`` and ``RECIPROCAL_SUCC``
 ``(1, -1)``; products, ``tilde_inv``, negation and ``abs`` propagate it, and
-so do sums and differences of equal exponents.  A view with a form reads its
-values from the form.  ``compare``, ``classify`` and ``arch_compare`` decide
+so do sums and differences of equal exponents.  The form is metadata only:
+values are always read from the generator.  ``compare``, ``classify`` and ``arch_compare`` decide
 two forms from their coefficients or from the window's two ends (the proofs
 are in their docstrings); every other case runs the scan.
 
@@ -103,15 +103,6 @@ def _monomial(c: Fraction, e: int) -> Form:
     return (c, e) if c else (c, 0)
 
 
-def _form_gen(form: Form) -> Callable[[int], Fraction]:
-    c, e = form
-    if e == 0:
-        return lambda n: c
-    if e > 0:
-        return lambda n: c * (n + 1) ** e
-    return lambda n: c / (n + 1) ** -e
-
-
 def _combine_forms(fa: Optional[Form], fb: Optional[Form], op, symbol) -> Optional[Form]:
     """Form of the pointwise ``a op b``, or None.
 
@@ -158,8 +149,8 @@ class Hyperreal:
 
     @classmethod
     def _view(cls, gen, label, form: Optional[Form] = None, bracket=None) -> "Hyperreal":
-        """A memo-free sequence; one with a form reads its values from it."""
-        h = cls(gen if form is None else _form_gen(form), label, bracket)
+        """A memo-free sequence: ``at(n)`` calls ``gen(n)`` every time."""
+        h = cls(gen, label, bracket)
         h.form = form
         h._cache = _NO_MEMO
         return h
@@ -167,7 +158,7 @@ class Hyperreal:
     @classmethod
     def constant(cls, q) -> "Hyperreal":
         q = Fraction(q)
-        h = cls._view(None, str(q), _monomial(q, 0))
+        h = cls._view(lambda n: q, str(q), _monomial(q, 0))
         h.const_value = q
         return h
 
@@ -177,14 +168,11 @@ class Hyperreal:
         cache = self._cache
         if cache is _NO_MEMO:
             return self.gen(n)
-        value = cache.get(n)
-        if value is None:
-            value = self.gen(n)
-            if type(value) is not Fraction:
-                value = Fraction(value)
-            if n < _CACHE_LIMIT:
-                cache[n] = value
-        return value
+        return _memo_read(cache, self._leaf_value, n)
+
+    def _leaf_value(self, n: int) -> Fraction:
+        value = self.gen(n)
+        return value if type(value) is Fraction else Fraction(value)
 
     def prefix(self, count: int) -> list:
         return [self.at(i) for i in range(count)]
@@ -258,6 +246,17 @@ class Hyperreal:
         return f"Hyperreal({self.label})"
 
 
+def _memo_read(memo: dict, fn: Callable[[int], object], n: int):
+    """``fn(n)`` through a leaf memo keyed by index; only indices below
+    ``_CACHE_LIMIT`` are stored, so very deep scans do not pin memory."""
+    value = memo.get(n)
+    if value is None:
+        value = fn(n)
+        if n < _CACHE_LIMIT:
+            memo[n] = value
+    return value
+
+
 def _pseudo_inverse(x: Fraction) -> Fraction:
     return 1 / x if x else x
 
@@ -302,23 +301,18 @@ class Hyperinteger:
         v = int(v)
         return cls._view(lambda n: v, str(v))
 
-    @staticmethod
-    def _checked(value, index):
-        if not isinstance(value, int):
-            raise TypeError(f"non-integer term {value!r} at index {index}")
-        return value
-
     def at(self, n: int) -> int:
         if n < 0:
             raise IndexError(n)
         cache = self._cache
         if cache is _NO_MEMO:
             return self.gen(n)
-        value = cache.get(n)
-        if value is None:
-            value = self._checked(self.gen(n), n)
-            if n < _CACHE_LIMIT:
-                cache[n] = value
+        return _memo_read(cache, self._leaf_value, n)
+
+    def _leaf_value(self, n: int) -> int:
+        value = self.gen(n)
+        if not isinstance(value, int):
+            raise TypeError(f"non-integer term {value!r} at index {n}")
         return value
 
     def prefix(self, count: int) -> list:
@@ -626,27 +620,16 @@ def _xgcd(a: int, b: int):
     return old_r, old_s, old_t
 
 
-def _memoized(fn: Callable[[int], tuple]) -> Callable[[int], tuple]:
-    """``fn`` with a leaf's memo: keyed by index, bounded by ``_CACHE_LIMIT``."""
-    memo: dict = {}
-
-    def read(n):
-        value = memo.get(n)
-        if value is None:
-            value = fn(n)
-            if n < _CACHE_LIMIT:
-                memo[n] = value
-        return value
-
-    return read
-
-
 def gcd_bezout(a: Hyperinteger, d: Hyperinteger):
     """Componentwise gcd with Bezout witnesses: g(i) = s(i)*a(i) + t(i)*d(i).
 
     One memoized triple per index; g, s and t are views of it.
     """
-    triple = _memoized(lambda n: _xgcd(a.at(n), d.at(n)))
+    memo: dict = {}
+
+    def triple(n):
+        return _memo_read(memo, lambda i: _xgcd(a.at(i), d.at(i)), n)
+
     return (Hyperinteger._view(lambda n: triple(n)[0], f"gcd({a.label},{d.label})"),
             Hyperinteger._view(lambda n: triple(n)[1], "bezout-s"),
             Hyperinteger._view(lambda n: triple(n)[2], "bezout-t"))

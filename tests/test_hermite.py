@@ -388,6 +388,22 @@ class TestDecimalChunks:
         with pytest.raises(ValueError, match="cap"):
             certificate_from_dict(doc)
 
+    @pytest.mark.parametrize("field,value", [("lower_bound", "1/0"), ("eps_bound", "-3/0"),
+                                             ("coeffs", [["3", "0"], ["-1", "1"]])])
+    def test_from_dict_refuses_zero_denominators(self, field, value):
+        doc = nonvanish_certificate([F(3), F(-1)]).to_dict()
+        doc[field] = value
+        with pytest.raises(ValueError, match="zero denominator"):
+            certificate_from_dict(doc)
+
+    @pytest.mark.parametrize("prime", [5.9, 5.0, "5", " 5", True, None])
+    def test_from_dict_refuses_a_non_integer_prime(self, prime):
+        doc = nonvanish_certificate([F(3), F(-1)]).to_dict()
+        assert doc["prime"] == 5
+        doc["prime"] = prime
+        with pytest.raises(ValueError, match="prime"):
+            certificate_from_dict(doc)
+
     def test_fractions_print_as_str(self):
         for q in (F(0), F(-3), F(5, 7), F(-2 ** 64 - 1, 3 ** 40)):
             assert hermite._fraction_to_text(q) == str(q)

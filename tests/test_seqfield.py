@@ -655,6 +655,12 @@ class TestMemos:
         assert a.at(3) is value
         assert type(make(lambda n: n).at(3)) is F
 
+    def test_integer_leaf_refuses_a_non_integer_term(self):
+        a = sf.Hyperinteger(lambda n: n // 2 if n % 2 == 0 else F(n, 2))
+        assert a.at(4) == 2
+        with pytest.raises(TypeError, match="index 3"):
+            a.at(3)
+
     def test_gcd_bezout_runs_xgcd_once_per_index(self, monkeypatch):
         calls = []
         xgcd = sf._xgcd
