@@ -17,10 +17,11 @@ A sequence may carry a closed *monomial form* ``(c, e)``: ``a(n) =
 c * (n+1)^e`` at every ``n >= 0``, with ``e = 0`` whenever ``c = 0``.
 Constants have ``e = 0``, ``OMEGA`` is ``(1, 1)`` and ``RECIPROCAL_SUCC``
 ``(1, -1)``; products, ``tilde_inv``, negation and ``abs`` propagate it, and
-so do sums and differences of equal exponents.  The form is metadata only:
-values are always read from the generator.  ``compare``, ``classify`` and ``arch_compare`` decide
-two forms from their coefficients or from the window's two ends (the proofs
-are in their docstrings); every other case runs the scan.
+so do sums and differences of equal exponents.  The form only steers the
+verdicts; values are always read from the generator.  ``compare``,
+``classify`` and ``arch_compare`` decide two forms from their coefficients
+or from the window's two ends (the proofs are in their docstrings); every
+other case runs the scan.
 
 A sequence may also carry an integer *bracket* ``bracket(n, k) -> (lo, hi)``
 with ``lo <= a(n) * 2^k <= hi``, cheaper to compute than ``a(n)`` itself
