@@ -82,7 +82,26 @@ def _depth(text: str) -> int:
     return value
 
 
+def _pser_exponent(text: str):
+    """The ``k`` of a ``pser(k)``, alone or inside ``alt(...)``, else None."""
+    match = extsum._CALL.match(text)
+    while match and match.group(1) == "alt" and match.group(2) is not None:
+        match = extsum._CALL.match(match.group(2))
+    if match and match.group(1) == "pser" and match.group(2) is not None:
+        try:
+            return int(match.group(2))
+        except ValueError:
+            return None
+    return None
+
+
 def _series(text: str) -> extsum.SeriesSpec:
+    too_big = f"series {text!r}: eta_interval would print more than {_MAX_DIGITS} digits"
+    # pser(k)'s tail bound at index m is 1/((k-1) (m+1)^(k-1)), m >= 127, so its
+    # grid needs at least 7 (k-1) bits: refuse before that power is built
+    k = _pser_exponent(text)
+    if k is not None and 7 * (k - 1) > _MAX_BITS:
+        raise argparse.ArgumentTypeError(too_big)
     try:
         spec = extsum.parse_series(text)
         # eta_interval adds one interval per signed part, each on the grid
@@ -93,8 +112,7 @@ def _series(text: str) -> extsum.SeriesSpec:
     except (ArithmeticError, ValueError) as exc:
         raise argparse.ArgumentTypeError(f"bad series {text!r}: {exc}") from None
     if any(slack and grid_bits(slack) > _MAX_BITS for slack in slacks):
-        raise argparse.ArgumentTypeError(
-            f"series {text!r}: eta_interval would print more than {_MAX_DIGITS} digits")
+        raise argparse.ArgumentTypeError(too_big)
     return spec
 
 

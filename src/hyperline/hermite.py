@@ -458,10 +458,18 @@ def verify_certificate(cert: HermiteCertificate, digits: int = 60) -> bool:
     the recomputed bound and 1/2), the lower bound formula, and finally
     confirms with a high-precision interval that |sum b_k e^k| really
     exceeds the bound.
+
+    The stated prime is untrusted, so it is bounded before the primality
+    test: ``hermite_M_min_bits(n, p)`` is a proved lower bound on the bits
+    of every ``M_k(n, p)``, so a stated ``M_0`` with fewer bits refutes
+    ``p``.  The bound grows with ``p``, so the size of ``M_0`` caps the
+    prime and the trial division.
     """
     n = len(cert.coefficients) - 1
     p = cert.prime
-    if not _is_prime(p):
+    if n < 1 or len(cert.M) != n + 1:
+        return False
+    if hermite_M_min_bits(n, p) > cert.M[0].bit_length() or not _is_prime(p):
         return False
     m_values = hermite_Ms(n, p)
     if m_values != list(cert.M):

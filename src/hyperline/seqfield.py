@@ -13,6 +13,14 @@ alone.  The results of ``+ - *``, negation, ``abs``, ``tilde_inv`` and
 ``constant`` are views: they keep no memo and read their operands at the
 same index, so a scan evaluates only the indices its verdict reads.
 
+Scans read integer pairs, not fractions.  ``pair(n)`` is ``(p, q)`` with
+``q > 0`` and ``a(n) = p/q``, not necessarily reduced: a leaf gives its
+memoized value's numerator and denominator, and a view cross-multiplies its
+operands' pairs (fraction-free evaluation; Knuth, TAOCP vol. 2, 4.5.1).  A
+verdict needs only signs and comparisons with the probe bounds, which
+cross-multiplication gives exactly, so no gcd is taken on a scan; a value is
+normalised only when ``at`` returns it as a ``Fraction``.
+
 A sequence may carry a closed *monomial form* ``(c, e)``: ``a(n) =
 c * (n+1)^e`` at every ``n >= 0``, with ``e = 0`` whenever ``c = 0``.
 Constants have ``e = 0``, ``OMEGA`` is ``(1, 1)`` and ``RECIPROCAL_SUCC``
@@ -97,6 +105,7 @@ _UNDETERMINED = CompareResult(Verdict.UNDETERMINED, None)
 _BY_SIGN = (Verdict.LESS, Verdict.EQUAL, Verdict.GREATER)
 
 Form = Tuple[Fraction, int]
+Pair = Tuple[int, int]
 
 
 def _monomial(c: Fraction, e: int) -> Form:
@@ -129,7 +138,8 @@ class Hyperreal:
 
     ``Hyperreal(gen)`` is a leaf: its values are memoized by index below
     ``_CACHE_LIMIT``, so ``gen(n)`` runs once per index there (two threads
-    racing on one index may both run it).  ``form`` is the
+    racing on one index may both run it).  A view's ``gen`` is its pair
+    evaluator instead (see the module docstring).  ``form`` is the
     monomial form or None (see the module docstring).  ``const_value`` is the
     value of a sequence built by ``constant`` (whose label is that value) and
     None otherwise; ``shadow`` takes it as an exact point.  ``bracket``, when
@@ -149,9 +159,11 @@ class Hyperreal:
         self._cache = {}
 
     @classmethod
-    def _view(cls, gen, label, form: Optional[Form] = None, bracket=None) -> "Hyperreal":
-        """A memo-free sequence: ``at(n)`` calls ``gen(n)`` every time."""
-        h = cls(gen, label, bracket)
+    def _view(cls, pair_gen: Callable[[int], Pair], label, form: Optional[Form] = None,
+              bracket=None) -> "Hyperreal":
+        """A memo-free sequence whose ``gen`` is its pair evaluator:
+        ``pair(n)`` calls ``pair_gen(n)`` every time."""
+        h = cls(pair_gen, label, bracket)
         h.form = form
         h._cache = _NO_MEMO
         return h
@@ -159,17 +171,30 @@ class Hyperreal:
     @classmethod
     def constant(cls, q) -> "Hyperreal":
         q = Fraction(q)
-        h = cls._view(lambda n: q, str(q), _monomial(q, 0))
+        pq = (q.numerator, q.denominator)
+        h = cls._view(lambda n: pq, str(q), _monomial(q, 0))
         h.const_value = q
         return h
 
     def at(self, n: int) -> Fraction:
+        """The exact value ``a(n)``, normalised."""
         if n < 0:
             raise IndexError(n)
         cache = self._cache
         if cache is _NO_MEMO:
-            return self.gen(n)
+            return Fraction(*self.gen(n))
         return _memo_read(cache, self._leaf_value, n)
+
+    def pair(self, n: int) -> Pair:
+        """``a(n)`` as integers ``(p, q)``, ``q > 0``, ``p/q`` not necessarily
+        reduced.  A leaf reads its memo, and evaluates a miss through ``at``."""
+        cache = self._cache
+        if cache is _NO_MEMO:
+            return self.gen(n)
+        value = cache.get(n)
+        if value is None:
+            value = self.at(n)
+        return value.numerator, value.denominator
 
     def _leaf_value(self, n: int) -> Fraction:
         value = self.gen(n)
@@ -199,7 +224,7 @@ class Hyperreal:
                 return other
             if qb == 1:
                 return self
-        return Hyperreal._view(lambda n, a=self, b=other: op(a.at(n), b.at(n)),
+        return Hyperreal._view(_pair_op(symbol, self.pair, other.pair),
                                f"({self.label} {symbol} {other.label})", form,
                                _combine_brackets(self.bracket, other.bracket, symbol))
 
@@ -220,19 +245,21 @@ class Hyperreal:
     __rmul__ = __mul__
 
     def _pointwise(self, fn, label, form_map):
-        """The view ``fn(a(n))``, its form mapped by ``form_map(c, e)``; a
-        constant stays a constant."""
+        """The view whose pair is ``fn(p, q)`` of this one's, its form mapped
+        by ``form_map(c, e)``; a constant stays a constant."""
         form = self.form and _monomial(*form_map(*self.form))
         if self.const_value is not None:
             return Hyperreal.constant(form[0])
-        return Hyperreal._view(lambda n, a=self: fn(a.at(n)), label, form)
+        return Hyperreal._view(lambda n, pa=self.pair: fn(*pa(n)), label, form)
 
     def __neg__(self):
-        return self._pointwise(operator.neg, f"(-{self.label})", lambda c, e: (-c, e))
+        return self._pointwise(lambda p, q: (-p, q), f"(-{self.label})",
+                               lambda c, e: (-c, e))
 
     def __abs__(self):
         # (n+1)^e > 0, so |c (n+1)^e| = |c| (n+1)^e
-        return self._pointwise(abs, f"|{self.label}|", lambda c, e: (abs(c), e))
+        return self._pointwise(lambda p, q: (abs(p), q), f"|{self.label}|",
+                               lambda c, e: (abs(c), e))
 
     def tilde_inv(self) -> "Hyperreal":
         """Total pseudo-inverse: zero terms map to zero, others to 1/x.
@@ -240,7 +267,7 @@ class Hyperreal:
         A form with ``c != 0`` has no zero term, and ``1 / (c (n+1)^e) =
         (1/c) (n+1)^-e``; the zero form maps to itself.
         """
-        return self._pointwise(_pseudo_inverse, f"~{self.label}",
+        return self._pointwise(_inverse_pair, f"~{self.label}",
                                lambda c, e: (_pseudo_inverse(c), -e))
 
     def __repr__(self):
@@ -260,6 +287,40 @@ def _memo_read(memo: dict, fn: Callable[[int], object], n: int):
 
 def _pseudo_inverse(x: Fraction) -> Fraction:
     return 1 / x if x else x
+
+
+def _inverse_pair(p: int, q: int) -> Pair:
+    """The pair of ``q/p`` with the sign kept in the numerator; ``(0, 1)``
+    for zero."""
+    if p > 0:
+        return q, p
+    return (-q, -p) if p else (0, 1)
+
+
+def _pair_op(symbol, pa, pb) -> Callable[[int], Pair]:
+    """Pair evaluator of the pointwise ``a symbol b`` from the operands' pair
+    evaluators: ``x/y * u/v = xu/yv`` and ``x/y +- u/v = (xv +- uy)/yv``,
+    or ``(x +- u)/y`` when ``y = v``.  Denominators stay positive."""
+    if symbol == "*":
+        def gen(n):
+            x, y = pa(n)
+            u, v = pb(n)
+            return x * u, y * v
+    elif symbol == "+":
+        def gen(n):
+            x, y = pa(n)
+            u, v = pb(n)
+            if y == v:
+                return x + u, y
+            return x * v + u * y, y * v
+    else:
+        def gen(n):
+            x, y = pa(n)
+            u, v = pb(n)
+            if y == v:
+                return x - u, y
+            return x * v - u * y, y * v
+    return gen
 
 
 def _combine_brackets(ba, bb, symbol):
@@ -320,7 +381,7 @@ class Hyperinteger:
         return [self.at(i) for i in range(count)]
 
     def to_hyperreal(self) -> Hyperreal:
-        return Hyperreal._view(lambda n, a=self: Fraction(a.at(n)), self.label)
+        return Hyperreal._view(lambda n, at=self.at: (at(n), 1), self.label)
 
     def __repr__(self):
         return f"Hyperinteger({self.label})"
@@ -403,10 +464,18 @@ def compare(a, b, depth: int = DEFAULT_DEPTH) -> CompareResult:
     gap = _combine_forms(a.form, b.form, operator.sub, "-")
     if gap is not None:
         return CompareResult(_BY_SIGN[_sign(gap[0]) + 1], 0)
+    pa, pb = a.pair, b.pair
+
+    def sign_at(n):  # sign(x/y - u/v) = sign(xv - uy), as y, v > 0
+        x, y = pa(n)
+        u, v = pb(n)
+        gap = x * v - u * y
+        return (gap > 0) - (gap < 0)
+
     w = depth
-    last = _sign(a.at(depth) - b.at(depth))
+    last = sign_at(depth)
     for n in range(depth - 1, -1, -1):
-        if _sign(a.at(n) - b.at(n)) != last:
+        if sign_at(n) != last:
             break
         w = n
     if 2 * w > depth:
@@ -460,37 +529,28 @@ def _classify(a: Hyperreal, depth: int, probes: int, scale: int) -> ClassTag:
     For a form ``(c, e)``, ``|a(n)| = |c| (n+1)^e`` is monotone in ``n``, so
     its tag is too, and the window's two ends decide it.
     """
-    tiny = Fraction(1, probes)
-    big = Fraction(probes)
-
-    def tag_of(v):
-        v = abs(v)
-        if v < tiny:
+    def tag_of(p, q):  # the tag of p/q, q > 0
+        p = abs(p)
+        if p * probes < q:
             return ClassTag.INFINITESIMAL
-        if v > big:
+        if p > probes * q:
             return ClassTag.UNLIMITED
         return ClassTag.APPRECIABLE
 
+    pair = a.pair
     monotone = a.form is not None
     bracket = a.bracket
     if bracket is None or monotone:
-        return _half_window_tag(lambda n: tag_of(a.at(n)), depth, ClassTag.UNDETERMINED,
+        return _half_window_tag(lambda n: tag_of(*pair(n)), depth, ClassTag.UNDETERMINED,
                                 monotone)
-    one, top = 1 << scale, probes << scale
-
-    def scaled_tag(x):  # the tag of x / 2^scale, x >= 0
-        if x * probes < one:
-            return ClassTag.INFINITESIMAL
-        if x > top:
-            return ClassTag.UNLIMITED
-        return ClassTag.APPRECIABLE
+    one = 1 << scale
 
     def tag_at(n):
         lo, hi = bracket(n, scale)
-        tag = scaled_tag(max(lo, -hi, 0))
-        if tag is scaled_tag(max(-lo, hi)):
+        tag = tag_of(max(lo, -hi, 0), one)
+        if tag is tag_of(max(-lo, hi), one):
             return tag
-        return tag_of(a.at(n))
+        return tag_of(*pair(n))
 
     return _half_window_tag(tag_at, depth, ClassTag.UNDETERMINED)
 
@@ -531,9 +591,11 @@ def shadow(a, tolerance, depth: int = DEFAULT_DEPTH) -> Interval:
     max_spread = (tolerance.numerator << k) // (2 * tolerance.denominator)
     bracket = a.bracket
     if bracket is None:
+        pair = a.pair
+
         def cell(n):
-            v = a.at(n)
-            m = (v.numerator << k) // v.denominator
+            p, q = pair(n)
+            m = (p << k) // q
             return m, m + 1
     else:
         shift = fine - k
@@ -563,9 +625,9 @@ def hyper_floor(a) -> Hyperinteger:
     if q is not None:
         return Hyperinteger.constant(q.numerator // q.denominator)
 
-    def gen(n):
-        value = a.at(n)
-        return value.numerator // value.denominator
+    def gen(n, pair=a.pair):  # floor(p/q) is unchanged by scaling p and q alike
+        p, q = pair(n)
+        return p // q
 
     return Hyperinteger._view(gen, f"floor({a.label})")
 
@@ -647,17 +709,17 @@ def arch_compare(a, b, depth: int = DEFAULT_DEPTH,
     is its tag (LOWER < SAME < HIGHER), so the window's two ends decide it.
     """
     a, b = make(a), make(b)
-    tiny = Fraction(1, probes)
-    big = Fraction(probes)
+    pa, pb = a.pair, b.pair
 
-    def tag_of(x, y):
-        x, y = abs(x), abs(y)
-        if y == 0:
+    def tag_at(n):
+        x, y = pa(n)
+        u, v = pb(n)
+        x, u = abs(x) * v, abs(u) * y  # |a(n)| : |b(n)| = x : u
+        if u == 0:
             return None if x == 0 else ArchClass.HIGHER
-        r = x / y
-        if r < tiny:
+        if x * probes < u:
             return ArchClass.LOWER
-        if r > big:
+        if x > probes * u:
             return ArchClass.HIGHER
         return ArchClass.SAME
 
@@ -666,9 +728,8 @@ def arch_compare(a, b, depth: int = DEFAULT_DEPTH,
         zero_tail = not a.form[0] or not b.form[0]
     else:
         window = range((depth + 1) // 2, depth + 1)
-        zero_tail = (all(a.at(n) == 0 for n in window)
-                     or all(b.at(n) == 0 for n in window))
+        zero_tail = (all(pa(n)[0] == 0 for n in window)
+                     or all(pb(n)[0] == 0 for n in window))
     if zero_tail:
         raise ZeroTailAtDepth("an operand is zero on the whole inspected suffix")
-    return _half_window_tag(lambda n: tag_of(a.at(n), b.at(n)), depth,
-                            ArchClass.UNDETERMINED, monotone)
+    return _half_window_tag(tag_at, depth, ArchClass.UNDETERMINED, monotone)

@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -262,6 +263,7 @@ class TestDeterminismAndExitCodes:
          "--tolerance"),
         (["extsum", "--series", "geom(1/2)", "--tolerance", "1e-3000000"], "--tolerance"),
         (["extsum", "--series", "pser(2045)", "--depth", "64"], "--series"),
+        (["extsum", "--series", "pser(2041)", "--depth", "64"], "--series"),
         (["extsum", "--series", "alt(pser(1790))", "--depth", "64"], "--series"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
     def test_output_too_large_is_refused_up_front(self, capsys, argv, option):
@@ -271,6 +273,17 @@ class TestDeterminismAndExitCodes:
         assert code == 2
         assert f"argument {option}:" in err and "4300" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("series", ["pser(100000000)", "alt(pser(100000000))",
+                                        "alt( alt(pser( 2043 )))"])
+    def test_huge_pser_is_refused_before_its_tail_bound(self, capsys, series):
+        # the tail bound 1/((k-1) 128^(k-1)) alone would take seconds to build
+        start = time.perf_counter()
+        code = run(["extsum", "--series", series, "--depth", "64"])
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "argument --series:" in err and "would print more than 4300 digits" in err
 
     @pytest.mark.parametrize("argv", [
         ["extsum", "--series", "pser(2040)", "--depth", "64"],

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import time
 from fractions import Fraction
 from math import factorial, gcd
 
@@ -289,6 +290,25 @@ class TestCertificates:
         if eps_bound is not None:
             doc["eps_bound"] = eps_bound
         assert verify_certificate(certificate_from_dict(doc)) is accepted
+
+    def test_untrusted_prime_is_bounded_by_M0(self):
+        # trial division up to sqrt(2^61 - 1) would run for minutes; the
+        # proved lower bound on the bits of M_0 refuses the prime first
+        doc = nonvanish_certificate([F(3), F(-1)]).to_dict()
+        doc["prime"] = 2 ** 61 - 1
+        cert = certificate_from_dict(doc)
+        start = time.perf_counter()
+        assert not verify_certificate(cert)
+        assert time.perf_counter() - start < 1
+
+    def test_malformed_shapes_are_rejected(self):
+        cert = nonvanish_certificate([F(3), F(-1)])
+        doc = cert.to_dict()
+        for coeffs, M in ((doc["coeffs"][:1], doc["M"][:1]),
+                          (doc["coeffs"], doc["M"][:1]),
+                          (doc["coeffs"], doc["M"] + doc["M"][-1:])):
+            assert not verify_certificate(certificate_from_dict(
+                dict(doc, coeffs=coeffs, M=M)))
 
 
 # prime and a digest of the JSON M, I and lower_bound fields

@@ -1,6 +1,8 @@
+import gc
 import math
 import operator
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -671,6 +673,97 @@ class TestMemos:
             assert g.at(i) == s.at(i) * (6 * i + 4) + t.at(i) * (4 * i + 10)
             assert g.at(i) == math.gcd(6 * i + 4, 4 * i + 10)
         assert len(calls) == 30
+
+
+def _values_leaf(values):
+    """A generator leaf cycling through ``values``, with its plain values."""
+    plain = lambda n: values[n % len(values)]
+    return make(plain), plain
+
+
+def _integer_leaf(values):
+    seq = sf.Hyperinteger(lambda n: values[n % len(values)]).to_hyperreal()
+    return seq, lambda n: F(values[n % len(values)])
+
+
+# (sequence, plain generator) pairs over every kind of view: generator and
+# integer leaves (often with zero terms), constants, omega and 1/(n+1)
+view_trees = st.recursive(
+    st.one_of(
+        _coefficients.map(_leaf),
+        st.sampled_from(["omega", "reciprocal_succ"]).map(_leaf),
+        st.lists(st.one_of(_edge_values, _any_values), min_size=1,
+                 max_size=5).map(_values_leaf),
+        st.lists(st.integers(-70, 70), min_size=1, max_size=5).map(_integer_leaf)),
+    _extend, max_leaves=6)
+
+
+class TestPairEvaluation:
+    """The integer-pair evaluator against normalised values and the scans."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(x=view_trees, y=view_trees, depth=st.integers(1, 40))
+    def test_pairs_match_values_and_reference_scans(self, x, y, depth):
+        (a, pa), (b, pb) = x, y
+        xs = [pa(n) for n in range(depth + 1)]
+        ys = [pb(n) for n in range(depth + 1)]
+        for seq, values in ((a, xs), (b, ys)):
+            for n, value in enumerate(values):
+                p, q = seq.pair(n)
+                assert type(p) is int and type(q) is int and q > 0
+                assert F(p, q) == seq.at(n) == value
+            floors = hyper_floor(seq)
+            assert [floors.at(n) for n in range(depth + 1)] == [math.floor(v) for v in values]
+        plain_a, plain_b = make(lambda n: xs[n]), make(lambda n: ys[n])
+        assert compare(a, b, depth) == reference_compare(xs, ys, depth)
+        assert classify(a, depth) is reference_classify(plain_a, depth)
+        assert _outcome(arch_compare, a, b, depth) is \
+            _outcome(reference_arch_compare, plain_a, plain_b, depth)
+
+    def test_inverse_keeps_the_sign_in_the_numerator(self):
+        a = make(lambda n: F(n - 2, 3)).tilde_inv()
+        assert [a.pair(n) for n in range(4)] == [(-3, 2), (-3, 1), (0, 1), (3, 1)]
+
+    def test_equal_denominators_are_not_multiplied(self):
+        a = make(lambda n: F(1, 7)) + make(lambda n: F(3, 7))
+        assert a.pair(0) == (4, 7)
+        assert (a - make(F(4, 7))).pair(5) == (0, 7)
+
+    def test_scans_read_no_normalised_view_values(self, monkeypatch):
+        # views are read through pair only; `at` runs for leaf memo misses
+        calls = []
+        at = sf.Hyperreal.at
+        monkeypatch.setattr(sf.Hyperreal, "at",
+                            lambda seq, n: calls.append(seq._cache == ()) or at(seq, n))
+        a = (make(lambda n: F(n + 1, 3)) + sf.RECIPROCAL_SUCC) * make(lambda n: F(2, n + 5))
+        b = -abs(a.tilde_inv())
+        compare(a, b, 64)
+        classify(a, 64)
+        arch_compare(a, b, 64)
+        shadow(a * sf.RECIPROCAL_SUCC, F(1, 10), 64)
+        assert calls and not any(calls)
+
+    def test_dropped_leaf_is_freed_without_the_cycle_collector(self):
+        # a leaf (or a view) that referred to itself would keep its memo alive
+        # until the cyclic garbage collector ran
+        gc.disable()
+        try:
+            gen = lambda n: F(n + 1, 3)
+            ref = weakref.ref(gen)
+            leaf = make(gen)
+            del gen
+            views = [leaf + 1, leaf * sf.OMEGA, -leaf, abs(leaf), leaf.tilde_inv(),
+                     leaf - sf.RECIPROCAL_SUCC, hyper_floor(leaf)]
+            compare(views[0], views[1], 256)
+            classify(views[3], 256)
+            arch_compare(views[4], views[5], 256)
+            assert [v.at(100) for v in views[:2]] == [F(104, 3), F(101 * 101, 3)]
+            assert views[-1].at(7) == 2
+            assert ref() is not None
+            del leaf, views
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestOracleEquivalenceBulk:
