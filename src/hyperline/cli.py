@@ -18,14 +18,13 @@ import re
 import sys
 from fractions import Fraction
 
-from . import extsum, goldbach, hermite
+# Engine modules are reached through their module objects: each one's code
+# runs only when a command reads from it (see hyperline/__init__.py).
+from . import extsum, goldbach, hermite, seqfield, wattenberg
 from .intervals import grid_bits
 from .errors import (ClassUndetermined, ConvergenceUnknown, NotConvergentAtDepth,
                      PrecisionExhausted, SearchExhausted, SignUndetermined,
                      UnlimitedValue)
-from .seqfield import DEFAULT_DEPTH
-from .wattenberg import (DedekindNumber, dd_add, dd_neg, delta_d, embed, eps_d,
-                         wst, zero_cut)
 
 _SOFT_ERRORS = (ClassUndetermined, ConvergenceUnknown, NotConvergentAtDepth,
                 SignUndetermined, UnlimitedValue, PrecisionExhausted)
@@ -119,11 +118,21 @@ def _series(text: str) -> extsum.SeriesSpec:
 def _check_output_size(parser, args):
     """Refuse, as a usage error, a `hermite m` whose M_k(n, p) has provably
     more than _MAX_DIGITS digits: above _MAX_BITS + 1 bits it is at least
-    2^(_MAX_BITS + 1) > 10^_MAX_DIGITS."""
+    2^(_MAX_BITS + 1) > 10^_MAX_DIGITS.  Likewise a `liouville` whose
+    error_interval end 10^-(n+1)! prints (n+1)! + 1 digits; the factorial
+    stops at the first partial product past the limit, so a huge n costs
+    nothing."""
     if args.command == "hermite" and args.hermite_command == "m":
         if hermite.hermite_M_min_bits(args.n, args.p) > _MAX_BITS + 1:
             parser.error(f"hermite m --n {args.n} --p {args.p}: "
                          f"M would print more than {_MAX_DIGITS} digits")
+    if args.command == "liouville":
+        fact = 1
+        for j in range(2, args.n + 2):
+            fact *= j
+            if fact + 1 > _MAX_DIGITS:
+                parser.error(f"liouville --n {args.n}: error_interval would "
+                             f"print more than {_MAX_DIGITS} digits")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -191,7 +200,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _apply_defaults(args):
     if getattr(args, "depth", None) is None:
-        args.depth = 10_000 if args.command == "sieve" else DEFAULT_DEPTH
+        if args.command == "sieve":
+            args.depth = 10_000
+        elif args.command in ("extsum", "wat"):
+            args.depth = seqfield.DEFAULT_DEPTH
     if getattr(args, "tolerance", None) is None:
         args.tolerance = Fraction(1, 10 ** 6)
     if getattr(args, "output_format", None) is None:
@@ -201,9 +213,13 @@ def _apply_defaults(args):
 _TERM = re.compile(r"^(?:(?P<rat>-?\d+(?:/\d+)?)#|(?P<eps>eps_d)|(?P<delta>DELTA_d))$")
 
 
-def eval_wat_expr(text: str, depth: int = DEFAULT_DEPTH) -> DedekindNumber:
+def eval_wat_expr(text: str, depth: int | None = None) -> wattenberg.DedekindNumber:
+    """The canonical form of a sum of terms r#, eps_d and DELTA_d, at
+    `depth` (default seqfield.DEFAULT_DEPTH); ValueError on a bad term."""
+    if depth is None:
+        depth = seqfield.DEFAULT_DEPTH
     tokens = text.replace("+", " + ").replace("-", " - ").split()
-    result = zero_cut()
+    result = wattenberg.zero_cut()
     sign = 1
     expect_term = True
     seen_term = False
@@ -221,14 +237,18 @@ def eval_wat_expr(text: str, depth: int = DEFAULT_DEPTH) -> DedekindNumber:
         if not match:
             raise ValueError(f"bad term {token!r}")
         if match.group("rat"):
-            term = embed(Fraction(match.group("rat")))
+            try:
+                value = Fraction(match.group("rat"))
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {token!r}") from None
+            term = wattenberg.embed(value)
         elif match.group("eps"):
-            term = eps_d()
+            term = wattenberg.eps_d()
         else:
-            term = delta_d()
+            term = wattenberg.delta_d()
         if sign < 0:
-            term = dd_neg(term)
-        result = dd_add(result, term, depth)
+            term = wattenberg.dd_neg(term)
+        result = wattenberg.dd_add(result, term, depth)
         sign = 1
         expect_term = False
         seen_term = True
@@ -254,9 +274,10 @@ def _run_command(args) -> dict:
         wst_interval = None
         if not result.divergent:
             try:
-                wst_interval = wst(result.value, args.tolerance, args.depth)
-            except (NotConvergentAtDepth, UnlimitedValue):
-                pass  # value stands on its own; the shadow is a bonus field
+                wst_interval = wattenberg.wst(result.value, args.tolerance, args.depth)
+            except (NotConvergentAtDepth, UnlimitedValue) as exc:
+                # value stands on its own; the shadow is a bonus field
+                print(f"note: wst_interval: {exc}", file=sys.stderr)
         return {
             "series": spec.label,
             "value": result.value.render(),

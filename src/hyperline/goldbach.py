@@ -15,8 +15,8 @@ from fractions import Fraction
 from math import isqrt
 from typing import List
 
+from . import extsum
 from .errors import DepthTooSmall
-from .extsum import ExtSumResult, SeriesSpec, flat_sum
 from .intervals import Interval
 
 
@@ -97,7 +97,7 @@ def tail_bound(limit: int) -> Fraction:
     return Fraction(1, s) + Fraction(1, s + 1)
 
 
-def powers_reciprocal_series() -> SeriesSpec:
+def powers_reciprocal_series() -> extsum.SeriesSpec:
     """The series 1/(k-1) over perfect powers in increasing order, with a
     certified tail bound."""
     powers: List[int] = []
@@ -119,7 +119,7 @@ def powers_reciprocal_series() -> SeriesSpec:
     def bound(k: int) -> Fraction:
         return tail_bound(kth_power(k))
 
-    return SeriesSpec(term, "nonneg", bound, "powers_recip")
+    return extsum.SeriesSpec(term, "nonneg", bound, "powers_recip")
 
 
 @dataclass(frozen=True)
@@ -190,14 +190,14 @@ def euler_sieve(depth: int, steps: int) -> SieveReport:
     )
 
 
-def flat_identity(limit: int, depth: int = 4096) -> ExtSumResult:
+def flat_identity(limit: int, depth: int = 4096) -> extsum.ExtSumResult:
     """Flat sum of the perfect-power reciprocal series: eta^# - eps_d with
     the eta interval pinned by the partial sum up to `limit`."""
     if limit < 4:
         raise ValueError("limit must be >= 4")
     series = powers_reciprocal_series()
     eta_terms = max(1, len(perfect_powers(limit)))
-    return flat_sum(series, depth=depth, eta_terms=eta_terms)
+    return extsum.flat_sum(series, depth=depth, eta_terms=eta_terms)
 
 
 def goldbach_report(limit: int) -> dict:

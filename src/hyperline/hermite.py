@@ -636,15 +636,17 @@ def liouville_approx(m: int, n: int) -> Tuple[Convergent, bool]:
     """Partial sums of the Liouville constant as hyper-good approximations.
 
     The tail obeys 10^-(n+1)! < L - p/q < 2 * 10^-(n+1)!, so the returned
-    flag verifies 0 < |L - p/q| < 1/q^m exactly in rationals.
+    flag verifies 0 < |L - p/q| < 1/q^m.  It is decided exactly without
+    building q^m: with q = 10^(n!), 2 * 10^-(n+1)! < 10^-(m n!) holds iff
+    10^((n+1)! - m n!) > 2, iff the integer (n+1)! - m n! is at least 1
+    (10^k is at most 1 for k <= 0 and at least 10 for k >= 1), iff
+    m n! < (n+1)! = (n+1) n!, iff m <= n.  The lower end is positive.
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
     p, q = liouville_partial(n)
     tail_lo = Fraction(1, 10 ** factorial(n + 1))
-    tail_hi = 2 * tail_lo
-    holds = tail_hi < Fraction(1, q ** m) and tail_lo > 0
-    return Convergent(p, q, Interval(tail_lo, tail_hi)), holds
+    return Convergent(p, q, Interval(tail_lo, 2 * tail_lo)), m <= n
 
 
 # ---------------------------------------------------------------------------

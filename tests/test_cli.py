@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import re
 import shlex
@@ -151,6 +152,30 @@ class TestOutputs:
         assert doc["p"] == "11" and doc["q"] == "100"
         assert doc["bound_holds"] is True
 
+    def test_liouville_largest_n(self, capsys):
+        code, out = capture(capsys, ["liouville", "--m", "2", "--n", "5"])
+        assert code == 0
+        p = sum(10 ** (120 - math.factorial(j)) for j in range(1, 6))
+        assert json.loads(out) == {
+            "m": 2, "n": 5, "p": str(p), "q": str(10 ** 120),
+            "error_interval": [f"1/{10 ** 720}", f"1/{5 * 10 ** 719}"],
+            "bound_holds": True}
+
+    def test_extsum_note_says_why_wst_interval_is_null(self, capsys):
+        code = run(["extsum", "--series", "pser(2)", "--depth", "256"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert json.loads(captured.out)["wst_interval"] is None
+        assert captured.err == ("note: wst_interval: no Cauchy window at "
+                                "tolerance 1/1000000 within depth 256\n")
+
+    def test_extsum_with_wst_interval_writes_no_note(self, capsys):
+        code = run(["extsum", "--series", "geom(1/2)", "--depth", "256"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert json.loads(captured.out)["wst_interval"] is not None
+        assert captured.err == ""
+
     def test_extsum_geometric(self, capsys):
         code, out = capture(capsys, ["extsum", "--series", "geom(1/2)",
                                      "--depth", "128"])
@@ -251,6 +276,7 @@ class TestDeterminismAndExitCodes:
         ["hermite", "cert", "--coeffs", "3,1/0"],
         ["hermite", "cert", "--coeffs", "0,1"],
         ["sieve", "--steps", "1", "--depth", "1"],
+        ["wat", "--expr", "1/0#"],
     ], ids=" ".join)
     def test_bad_input_is_usage_error(self, capsys, argv):
         code = run(argv)
@@ -301,6 +327,21 @@ class TestDeterminismAndExitCodes:
         err = capsys.readouterr().err
         assert code == 2
         assert "would print more than 4300 digits" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,want", [
+        (["liouville", "--m", "3", "--n", "50"], 2),
+        (["liouville", "--m", "2", "--n", "6"], 2),
+        (["liouville", "--m", "2", "--n", str(10 ** 18)], 2),
+        (["liouville", "--m", "1000000000", "--n", "2"], 0),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+    def test_liouville_work_is_bounded_up_front(self, capsys, argv, want):
+        # --n 50 used to build 10^(51!); --m 10^9 used to build q^m
+        start = time.perf_counter()
+        code = run(argv)
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert code == want
+        assert ("error_interval would print more than 4300 digits" in err) == (want == 2)
 
     def test_hermite_integer_just_below_the_limit_prints(self, capsys):
         # M_1(1, 1307) has 4293 digits; the next prime, 1319, gives 4337
@@ -379,7 +420,8 @@ FUZZ_COMMANDS = {
                           "--p-cap": ["3", "100"]},
     ("dirichlet",): {"--alpha": ["pi", "e", "7/3", "1e400", "tau"], "--count": ["4", "40"]},
     ("liouville",): {"--m": ["2", "50"], "--n": ["2", "3"]},
-    ("wat",): {"--expr": ["1# + eps_d - eps_d", "2# - DELTA_d", "1# +", "omega#", "-1/2#"]},
+    ("wat",): {"--expr": ["1# + eps_d - eps_d", "2# - DELTA_d", "1# +", "omega#", "-1/2#",
+                          "1/0#"]},
     ("frobnicate",): {},
     (): {},
 }

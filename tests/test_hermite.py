@@ -530,6 +530,15 @@ class TestLiouville:
             p, q = liouville_partial(n)
             assert gcd(p, q) == 1
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_bound_holds_matches_the_rational_comparison(self, n):
+        # the flag is m <= n; the comparison it replaces builds q^m
+        for m in range(1, 9):
+            conv, holds = liouville_approx(m, n)
+            tail_hi = F(2, 10 ** factorial(n + 1))
+            assert holds == (tail_hi < F(1, conv.q ** m)), (m, n)
+            assert conv.error_bound == Interval(tail_hi / 2, tail_hi)
+
     def test_tail_bracket_is_true(self):
         # 50-digit decimal expansion of L vs the certified bracket at n = 2
         L = sum(F(1, 10 ** factorial(j)) for j in range(1, 5))
