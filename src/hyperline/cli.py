@@ -119,20 +119,18 @@ def _check_output_size(parser, args):
     """Refuse, as a usage error, a `hermite m` whose M_k(n, p) has provably
     more than _MAX_DIGITS digits: above _MAX_BITS + 1 bits it is at least
     2^(_MAX_BITS + 1) > 10^_MAX_DIGITS.  Likewise a `liouville` whose
-    error_interval end 10^-(n+1)! prints (n+1)! + 1 digits; the factorial
-    stops at the first partial product past the limit, so a huge n costs
-    nothing."""
+    error_interval end 10^-(n+1)! prints (n+1)! + 1 digits, refused through
+    the capped factorial, so a huge n costs nothing."""
     if args.command == "hermite" and args.hermite_command == "m":
         if hermite.hermite_M_min_bits(args.n, args.p) > _MAX_BITS + 1:
             parser.error(f"hermite m --n {args.n} --p {args.p}: "
                          f"M would print more than {_MAX_DIGITS} digits")
     if args.command == "liouville":
-        fact = 1
-        for j in range(2, args.n + 2):
-            fact *= j
-            if fact + 1 > _MAX_DIGITS:
-                parser.error(f"liouville --n {args.n}: error_interval would "
-                             f"print more than {_MAX_DIGITS} digits")
+        try:
+            hermite._capped_factorial(args.n + 1, _MAX_DIGITS)
+        except ValueError:
+            parser.error(f"liouville --n {args.n}: error_interval would "
+                         f"print more than {_MAX_DIGITS} digits")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -287,7 +285,11 @@ def _run_command(args) -> dict:
         }
     if args.command == "hermite":
         if args.hermite_command == "m":
-            return {"M": str(hermite.hermite_M(args.n, args.p, args.k))}
+            m = hermite.hermite_M(args.n, args.p, args.k)
+            if abs(m) >= 10 ** _MAX_DIGITS:  # past hermite_M_min_bits' check
+                raise ValueError(f"hermite m --n {args.n} --p {args.p}: "
+                                 f"M would print more than {_MAX_DIGITS} digits")
+            return {"M": str(m)}
         cert = hermite.nonvanish_certificate(
             [parse_rational(c) for c in args.coeffs.split(",")],
             p_cap=args.p_cap)

@@ -34,30 +34,14 @@ from .intervals import Interval, grid_bits
 # ---------------------------------------------------------------------------
 # integer polynomials
 
-@dataclass(frozen=True)
-class IntPolynomial:
-    """Sparse integer polynomial: exponent -> coefficient, zeros dropped."""
-    coefficients: Dict[int, int]
+def poly_expand_f(n: int, p: int) -> List[int]:
+    """Coefficients of x^(p-1) * product_{j=1..n} (x - j)^p, lowest first:
+    a list of length (n+1) p whose first p-1 entries are 0.
 
-    def __post_init__(self):
-        cleaned = {e: c for e, c in self.coefficients.items() if c != 0}
-        object.__setattr__(self, "coefficients", cleaned)
-
-    @property
-    def degree(self) -> int:
-        return max(self.coefficients, default=-1)
-
-    def coeff(self, exponent: int) -> int:
-        return self.coefficients.get(exponent, 0)
-
-
-def poly_expand_f(n: int, p: int) -> IntPolynomial:
-    """Exact expansion of x^(p-1) * product_{j=1..n} (x - j)^p.
-
-    The lowest nonzero exponent is p-1 and its coefficient is ((-1)^n n!)^p.
-    The coefficients P_k of A(x)^p, A = sum a_i x^i = prod (x - j), follow
-    J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7), each division
-    checked exact: k a_0 P_k = sum_{i=1..min(n,k)} ((p+1) i - k) a_i P_{k-i}.
+    The coefficient of x^(p-1) is ((-1)^n n!)^p.  The coefficients P_k of
+    A(x)^p, A = sum a_i x^i = prod (x - j), follow J.C.P. Miller's recurrence
+    (Knuth, TAOCP vol. 2, 4.7), each division checked exact:
+    k a_0 P_k = sum_{i=1..min(n,k)} ((p+1) i - k) a_i P_{k-i}.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -75,7 +59,7 @@ def poly_expand_f(n: int, p: int) -> IntPolynomial:
         if remainder:
             raise IdentityViolated(f"Miller step {k} of A^{p} is not exact")
         powers.append(quotient)
-    return IntPolynomial({e + p - 1: c for e, c in enumerate(powers)})
+    return [0] * (p - 1) + powers
 
 
 def elem_sym(values: List[Fraction], m: int) -> Fraction:
@@ -126,19 +110,23 @@ def _next_prime(p: int) -> int:
 def hermite_Ms(n: int, p: int) -> List[int]:
     """[M_0, ..., M_n] from one expansion f(x) = sum_e c_e x^e.
 
-    int_0^inf g(u) e^-u du = sum_j g^(j)(0) for a polynomial g gives
-    (p-1)! M_k = sum_e c_e T_k(e), with T_k(e) = int_0^inf (u+k)^e e^-u du
-    = e T_k(e-1) + k^e and T_k(0) = 1; the division is checked exact.
+    (p-1)! M_k = int_0^inf g(u) e^-u du with g(u) = f(u+k).  For a
+    polynomial g, integrating by parts, int_0^inf g(u) e^-u du = g(0) +
+    int_0^inf g'(u) e^-u du = ... = sum_j g^(j)(0), and g^(j)(0) = f^(j)(k),
+    so (p-1)! M_k = F(k) with F = sum_j f^(j).  Then F - F' = f, so from the
+    top F_e = c_e + (e+1) F_(e+1), and F(k) follows by Horner's rule: every
+    product is a big integer times a small one.  The division is checked
+    exact.
     """
-    f = poly_expand_f(n, p)
-    result = []
+    big_f = poly_expand_f(n, p)
+    for e in range(len(big_f) - 2, -1, -1):
+        big_f[e] += (e + 1) * big_f[e + 1]
+    scale, result = factorial(p - 1), []
     for k in range(n + 1):
-        shifted, k_power, total = 1, 1, 0
-        for e in range(1, f.degree + 1):
-            k_power *= k
-            shifted = e * shifted + k_power
-            total += f.coeff(e) * shifted
-        quotient, remainder = divmod(total, factorial(p - 1))
+        total = 0
+        for coefficient in reversed(big_f):
+            total = total * k + coefficient
+        quotient, remainder = divmod(total, scale)
         if remainder:
             raise IdentityViolated(f"(p-1)! does not divide M_{k}({n}, {p})")
         result.append(quotient)
@@ -551,32 +539,20 @@ def pi_oracle(tolerance) -> Interval:
 e_oracle = e_interval
 
 
-def _rational_convergents(alpha: Fraction, count: int) -> List[Convergent]:
-    result = []
-    p_prev, p_cur = 0, 1
-    q_prev, q_cur = 1, 0
-    num, den = alpha.numerator, alpha.denominator
-    while den != 0 and len(result) < count:
-        a, rem = divmod(num, den)
-        num, den = den, rem
-        p_prev, p_cur = p_cur, a * p_cur + p_prev
-        q_prev, q_cur = q_cur, a * q_cur + q_prev
-        err = abs(alpha - Fraction(p_cur, q_cur))
-        result.append(Convergent(p_cur, q_cur, Interval.point(err)))
-    return result
-
-
 def cf_convergents(alpha: Union[Fraction, OracleFn], count: int) -> List[Convergent]:
     """First `count` continued-fraction convergents, each verified to satisfy
     |alpha - p/q| < 1/q^2 by interval arithmetic.
 
-    `alpha` is either an exact Fraction (terminating expansion) or an oracle
-    mapping a tolerance to a certified interval.
+    `alpha` is either an exact Fraction, whose point bracket gives its
+    terminating expansion (fewer than `count` convergents when it ends, and
+    error intervals that are points), or an oracle mapping a tolerance to a
+    certified interval.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     if isinstance(alpha, (int, Fraction)):
-        return _rational_convergents(Fraction(alpha), count)
+        bracket = Interval.point(alpha)
+        return _build_convergents(bracket, _extract_terms(bracket, count))
     tolerance = Fraction(1, 10 ** 40)
     for _ in range(8):
         bracket = alpha(tolerance)
@@ -597,6 +573,8 @@ def _extract_terms(bracket: Interval, count: int) -> Optional[List[int]]:
             return None
         terms.append(a_lo)
         lo, hi = lo - a_lo, hi - a_lo
+        if hi == 0:
+            break  # 0 <= lo <= hi: a point whose expansion ends here
         if lo <= 0:
             return None  # cannot certify the next quotient
         lo, hi = 1 / hi, 1 / lo
@@ -623,13 +601,25 @@ def _build_convergents(bracket: Interval, terms: List[int]) -> List[Convergent]:
 # ---------------------------------------------------------------------------
 # Liouville approximations
 
+def _capped_factorial(n: int, max_digits: int) -> int:
+    """n!, the exponent of 10^(n!), which has n! + 1 digits; ValueError when
+    that is more than max_digits, before any power of ten is built.  The
+    product stops at the first partial product past the cap."""
+    fact = 1
+    for j in range(2, n + 1):
+        fact *= j
+        if fact >= max_digits:
+            raise ValueError(f"10^({n}!) would have more than {max_digits} digits")
+    return fact
+
+
 def liouville_partial(n: int) -> Tuple[int, int]:
     """Numerator and denominator of the n-term partial sum of sum 10^(-j!)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    q = 10 ** factorial(n)
-    p = sum(10 ** (factorial(n) - factorial(j)) for j in range(1, n + 1))
-    return p, q
+    exponent = _capped_factorial(n, _MAX_DECIMAL_CHARS)
+    p = sum(10 ** (exponent - factorial(j)) for j in range(1, n + 1))
+    return p, 10 ** exponent
 
 
 def liouville_approx(m: int, n: int) -> Tuple[Convergent, bool]:
@@ -644,8 +634,8 @@ def liouville_approx(m: int, n: int) -> Tuple[Convergent, bool]:
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
+    tail_lo = Fraction(1, 10 ** _capped_factorial(n + 1, _MAX_DECIMAL_CHARS))
     p, q = liouville_partial(n)
-    tail_lo = Fraction(1, 10 ** factorial(n + 1))
     return Convergent(p, q, Interval(tail_lo, 2 * tail_lo)), m <= n
 
 

@@ -349,6 +349,16 @@ class TestDeterminismAndExitCodes:
         assert code == 0
         assert len(json.loads(out)["M"]) == 4293
 
+    @pytest.mark.parametrize("p", ["1319", "2039"])
+    def test_hermite_integer_past_the_loose_bound_is_refused(self, capsys, p):
+        # hermite_M_min_bits does not refuse n = 1, p in 1319..2039, whose M
+        # has over 4300 digits: the computed M is checked before it prints
+        code = run(["hermite", "m", "--n", "1", "--p", p])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (f"error: hermite m --n 1 --p {p}: "
+                                "M would print more than 4300 digits\n")
+
     def test_all_zero_split_series_exits_at_once(self):
         # the split cursor used to scan forever for a negative term
         limit = ("import resource; "

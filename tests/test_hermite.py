@@ -7,6 +7,8 @@ from math import factorial, gcd
 
 import pytest
 import sympy
+from sympy.ntheory.continued_fraction import (continued_fraction_convergents,
+                                              continued_fraction_iterator)
 
 from hyperline import hermite
 from hyperline.errors import (IdentityViolated, PrecisionExhausted,
@@ -44,7 +46,7 @@ def sympy_hermite_M(n, p, k=0):
 
 
 def sympy_hermite_Ms(n, p):
-    # Poly arithmetic and Taylor shifts: fast enough for every n <= 4, p <= 31
+    # Poly arithmetic and Taylor shifts: fast enough for every n <= 6, p <= 31
     x = sympy.symbols("x")
     poly = sympy.Poly(x ** (p - 1), x)
     for j in range(1, n + 1):
@@ -59,27 +61,23 @@ def sympy_hermite_Ms(n, p):
 
 class TestPolynomialExpansion:
     def test_n1_p3(self):
-        poly = poly_expand_f(1, 3)
-        assert poly.coefficients == {5: 1, 4: -3, 3: 3, 2: -1}
+        # x^2 (x-1)^3 = x^5 - 3x^4 + 3x^3 - x^2, lowest coefficient first
+        assert poly_expand_f(1, 3) == [0, 0, -1, 3, -3, 1]
 
     def test_n1_p2(self):
-        poly = poly_expand_f(1, 2)
-        assert poly.coefficients == {3: 1, 2: -2, 1: 1}
+        assert poly_expand_f(1, 2) == [0, 1, -2, 1]
 
     @pytest.mark.parametrize("n,p", [(1, 2), (1, 3), (2, 3), (3, 5), (2, 7)])
     def test_matches_symbolic_expansion(self, n, p):
-        ours = poly_expand_f(n, p)
-        oracle = sympy_weight_poly(n, p)
-        for (e,), c in oracle.terms():
-            assert ours.coeff(e) == int(c)
-        assert ours.degree == oracle.degree()
+        # every coefficient, zeros included; the length fixes the degree
+        oracle = sympy_weight_poly(n, p).all_coeffs()
+        assert poly_expand_f(n, p) == [int(c) for c in reversed(oracle)]
 
     @pytest.mark.parametrize("n,p", [(1, 3), (2, 3), (3, 5), (4, 5)])
     def test_lowest_coefficient_law(self, n, p):
         poly = poly_expand_f(n, p)
-        lowest = min(poly.coefficients)
-        assert lowest == p - 1
-        assert poly.coeff(lowest) == ((-1) ** n * factorial(n)) ** p
+        assert poly[:p - 1] == [0] * (p - 1)
+        assert poly[p - 1] == ((-1) ** n * factorial(n)) ** p
 
 
 class TestElementarySymmetric:
@@ -133,7 +131,7 @@ class TestHermiteIntegers:
         for k in range(1, n + 1):
             assert hermite_M(n, p, k) % p == 0
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
     def test_all_shifts_match_symbolic_oracle(self, n, p):
         assert hermite_Ms(n, p) == sympy_hermite_Ms(n, p)
@@ -445,6 +443,18 @@ class TestConvergents:
         assert convergents[-1].p == 7 and convergents[-1].q == 3
         assert convergents[-1].error_bound.hi == 0
 
+    @pytest.mark.parametrize("alpha", ["7/3", "355/113", "-5/3", "1/2", "5", "-3", "0"])
+    def test_rational_matches_sympy_convergents(self, alpha):
+        want = list(continued_fraction_convergents(
+            continued_fraction_iterator(sympy.Rational(alpha))))
+        value = F(alpha)
+        for count in range(1, len(want) + 2):
+            convergents = cf_convergents(value, count)
+            assert [(c.p, c.q) for c in convergents] == \
+                [(int(r.p), int(r.q)) for r in want[:count]]
+            for c in convergents:
+                assert c.error_bound == Interval.point(abs(value - F(c.p, c.q)))
+
     def test_lazy_oracle_exhaustion(self):
         stubborn = lambda tol: Interval(F(1, 4), F(3, 4))
         with pytest.raises(PrecisionExhausted):
@@ -538,6 +548,23 @@ class TestLiouville:
             tail_hi = F(2, 10 ** factorial(n + 1))
             assert holds == (tail_hi < F(1, conv.q ** m)), (m, n)
             assert conv.error_bound == Interval(tail_hi / 2, tail_hi)
+
+    @pytest.mark.parametrize("call", [lambda: liouville_approx(2, 9),
+                                      lambda: liouville_partial(10 ** 18)],
+                             ids=["approx(2, 9)", "partial(10**18)"])
+    def test_unprintable_sizes_are_refused_up_front(self, call):
+        # 10^(10!) has 3628801 digits, past the 2^20 decimal cap; the
+        # factorial stops at the first partial product past the cap
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="digits"):
+            call()
+        assert time.perf_counter() - start < 1
+
+    def test_largest_n_under_the_cap(self):
+        # error_bound's end 10^-(9!) has 9! + 1 = 362881 digits, under 2^20
+        conv, holds = liouville_approx(2, 8)
+        assert conv.q == 10 ** factorial(8) and holds
+        assert conv.error_bound.lo == F(1, 10 ** factorial(9))
 
     def test_tail_bracket_is_true(self):
         # 50-digit decimal expansion of L vs the certified bracket at n = 2
