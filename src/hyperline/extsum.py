@@ -238,8 +238,7 @@ def flat_sum(spec: SeriesSpec, depth: int = DEFAULT_DEPTH,
         f"(probe {divergence_probe}, depth {depth})")
 
 
-def upper_lower_sum(spec: SeriesSpec, depth: int = DEFAULT_DEPTH,
-                    eta_terms: int = DEFAULT_ETA_TERMS):
+def upper_lower_sum(spec: SeriesSpec):
     """Upper and lower sums of a certified-convergent series:
     (zeta^# + eps_d, zeta^# - eps_d) around the partial-sum hyperreal."""
     if spec.tail_bound is None:

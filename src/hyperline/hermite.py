@@ -164,48 +164,54 @@ def hermite_M(n: int, p: int, k: int = 0) -> int:
     return hermite_Ms(n, p)[k]
 
 
-def _exp_fixed(k: int, K: int) -> Tuple[int, int]:
-    """Integers (lo, hi) with lo <= e^k * 2^K < hi, for k, K >= 0.
+def _exp_brackets(n: int, K: int) -> List[Tuple[int, int]]:
+    """[(lo_k, hi_k) for k = 0..n]: integers with lo_k <= e^k 2^K < hi_k and
+    hi_k - lo_k <= 2, all from one series for e (n, K >= 0).
 
-    e^k 2^K = sum_i t_i, t_i = k^i 2^K / i!.  lo sums the exact floors of
-    t_0 .. t_(j-1), j the first index with t_j < 1, each off by under a unit.
-    For i < 2k, i! <= ((i+1)/2)^i <= k^i (AM-GM), so t_i >= 1 and j >= 2k;
-    from there t_(i+1) / t_i = k / (i+1) < 1/2, so the remainder is below
-    2 t_j < 2 and hi = lo + j + 2.  As t_i <= e^k 2^K, t_(2k+r) < 1 once
-    r >= K + 2k, so hi - lo <= K + 4k + 3.  The floors are exact: with
-    k^i 2^K = q i! + r, 0 <= r < i!, the next q is (k q + floor(k r / i!)) // (i+1).
+    At F = K + 2n + b + 1, b = (K + 2n + 4).bit_length(), the floors nest:
+    q_i = q_(i-1) // i = floor(2^F / i!).  E = q_0 + ... + q_(j-1), j the
+    first index with q_j = 0 (j! > 2^F, and (F+2)! >= 2^(F+1), so j <= F+2).
+    The j floors lose under a unit each and the tail is below
+    (2^F / j!)(1 + 1/2 + ...) < 2, so E <= e 2^F < H = E + j + 2, and
+    lo_k = floor(E^k 2^(K-kF)), hi_k = floor(H^k 2^(K-kF)) + 1 bracket e^k 2^K.
+    Width: hi_k - lo_k < D + 2, D = (H^k - E^k) 2^(K-kF), and D < 1: D = 0 at
+    k = 0; H - E = j + 2 <= F + 4 = (K + 2n + 4) + b + 1 <= 2^b + b <= 2^(b+1);
+    as F - K = 2n + b + 1, D <= 2^-2n at k = 1; for k >= 2, n >= 2 and F >= 8,
+    so F + 4 <= 2^F / 4 and, as e < 11/4, H < 3 2^F; with H^k - E^k <=
+    k (H - E) H^(k-1) and k 3^(k-1) <= 4^k (a term of (3+1)^k),
+    D < 4^k 2^(b+1) 2^(K-F) = 2^(2k-2n) <= 1.
     """
-    q, r, fact, i, lo = 1 << K, 0, 1, 0, 0
+    F = K + 2 * n + (K + 2 * n + 4).bit_length() + 1
+    q, E, j = 1 << F, 0, 0
     while q:
-        lo += q
-        i += 1
-        carry, r = divmod(k * r, fact)
-        q, u = divmod(k * q + carry, i)
-        r += u * fact
-        fact *= i
-    return lo, lo + i + 2
+        E += q
+        j += 1
+        q //= j
+    H = E + j + 2
+    return [((E ** k << K) >> k * F, ((H ** k << K) >> k * F) + 1)
+            for k in range(n + 1)]
 
 
-def _exp_bits(tolerance: Fraction, k: int) -> int:
-    """A scale K at which _exp_fixed(i, K), i <= k, is at most 2^-8 tolerance
-    * 2^K units wide, so hermite_eps brackets compare across primes: with
-    k1 = grid_bits(tolerance) + 8 and L = (k1 + 4k + 3).bit_length(),
-    K = k1 + L + 1 gives K + 4k + 3 <= 2^L + L <= 2^(K - k1)."""
-    k1 = grid_bits(tolerance) + 8
-    return k1 + (k1 + 4 * k + 3).bit_length() + 1
+def _exp_bits(tolerance: Fraction) -> int:
+    """A scale K at which every _exp_brackets(n, K) bracket, at most 2 units
+    wide, is at most 2^-8 tolerance * 2^K wide, so hermite_eps brackets
+    compare across primes: K = grid_bits(tolerance) + 9, as
+    2^-grid_bits(tolerance) <= tolerance."""
+    return grid_bits(tolerance) + 9
 
 
-def _exp_interval(k: int, K: int) -> Interval:
-    lo, hi = _exp_fixed(k, K)
-    return Interval(Fraction(lo, 1 << K), Fraction(hi, 1 << K))
+def _exp_intervals(n: int, K: int) -> List[Interval]:
+    """e^0 .. e^n as rational intervals from _exp_brackets(n, K)."""
+    return [Interval(Fraction(lo, 1 << K), Fraction(hi, 1 << K))
+            for lo, hi in _exp_brackets(n, K)]
 
 
 def e_interval(tolerance) -> Interval:
-    """Rational interval around e of width tolerance, from _exp_fixed."""
+    """Rational interval around e of width tolerance, from _exp_brackets."""
     tolerance = Fraction(tolerance)
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    raw = _exp_interval(1, _exp_bits(tolerance, 1))
+    raw = _exp_intervals(1, _exp_bits(tolerance))[1]
     # pad out to the full width: callers expect nearby decimal truncations
     # (slightly below e) to land inside too
     return raw.widen((tolerance - raw.width) / 2)
@@ -220,7 +226,7 @@ class EpsEstimate:
 
 
 def _e_upper() -> Fraction:
-    return Fraction(_exp_fixed(1, 64)[1], 1 << 64)
+    return Fraction(_exp_brackets(1, 64)[1][1], 1 << 64)
 
 
 def hermite_eps(n: int, p: int, k: int, tolerance=Fraction(1, 10 ** 12)) -> EpsEstimate:
@@ -228,8 +234,8 @@ def hermite_eps(n: int, p: int, k: int, tolerance=Fraction(1, 10 ** 12)) -> EpsE
         raise ValueError("need 1 <= k <= n")
     m_values = hermite_Ms(n, p)
     m0, mk = m_values[0], m_values[k]
-    K = _exp_bits(Fraction(tolerance) / max(1, abs(m0)), k)
-    interval = _exp_interval(k, K) * m0 - mk
+    K = _exp_bits(Fraction(tolerance) / max(1, abs(m0)))
+    interval = _exp_intervals(k, K)[k] * m0 - mk
     a_n = Fraction(n) ** (n + 1)
     g_k = _e_upper() ** k * a_n
     bound = n * g_k * a_n ** (p - 1) / factorial(p - 1)
@@ -385,7 +391,7 @@ def nonvanish_certificate(coefficients, p_cap: int = 10_000) -> HermiteCertifica
 def _certify_eps(n: int, p: int, scaled: List[int],
                  m_values: List[int]) -> Tuple[bool, List[Fraction], Fraction]:
     """Squeeze sum_{k>=1} scaled[k] * (e^k M_0 - M_k) inside (-1/2, 1/2) in
-    integers at scale 2^K: with lo <= e^k 2^K <= hi from _exp_fixed, the k-th
+    integers at scale 2^K: with lo <= e^k 2^K <= hi from _exp_brackets, the k-th
     term lies between scaled[k] * (lo M_0 - (M_k << K)) and the same with hi.
     The ledger holds each term's bound.  The total bound is rounded up to a
     short dyadic rational, still a bound; an undecided total doubles K."""
@@ -393,9 +399,10 @@ def _certify_eps(n: int, p: int, scaled: List[int],
     K = m0.bit_length() + max(map(abs, scaled)).bit_length() + n.bit_length() + 32
     for _ in range(4):
         ledger, total_lo, total_hi = [], 0, 0
+        brackets = _exp_brackets(n, K)
         for k in range(1, n + 1):
             lo, hi = sorted(scaled[k] * (e * m0 - (m_values[k] << K))
-                            for e in _exp_fixed(k, K))
+                            for e in brackets[k])
             ledger.append(max(-lo, hi))
             total_lo, total_hi = total_lo + lo, total_hi + hi
         bound = _round_up_dyadic(Fraction(max(-total_lo, total_hi), 1 << K))
@@ -485,10 +492,10 @@ def combination_interval(coefficients, tolerance) -> Interval:
     """Interval for sum b_k e^k at the requested absolute tolerance."""
     b = [Fraction(c) for c in coefficients]
     n = len(b) - 1
-    K = _exp_bits(Fraction(tolerance) / max(1, sum(map(abs, b[1:]))), n)
+    K = _exp_bits(Fraction(tolerance) / max(1, sum(map(abs, b[1:]))))
     total = Interval.point(b[0])
-    for k in range(1, n + 1):
-        total = total + _exp_interval(k, K) * b[k]
+    for power, coefficient in zip(_exp_intervals(n, K)[1:], b[1:]):
+        total = total + power * coefficient
     return total
 
 

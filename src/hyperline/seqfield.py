@@ -573,21 +573,21 @@ def shadow(a, tolerance, depth: int = DEFAULT_DEPTH) -> Interval:
     ``[a(n) - tolerance/2, a(n) + tolerance/2]`` for every ``n`` in the window,
     so drift beyond the inspected depth of up to tolerance/2 stays covered.
     Its endpoints are rounded outward to the grid (their denominators divide
-    ``tolerance.denominator * 2^k``).
+    ``tolerance.denominator * 2^k``).  A constant is classified like any other
+    sequence (its form makes that two reads) and is then its own point.
     """
     tolerance = Fraction(tolerance)
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
     a = make(a)
-    q = a.const_value
-    if q is not None:
-        return Interval.point(q)
     if depth < 1:
         raise ValueError("depth must be >= 1")
     k = grid_bits(tolerance / 8)
     fine = k + depth.bit_length() + 3
     if _classify(a, depth, DEFAULT_PROBES, fine) is ClassTag.UNLIMITED:
         raise UnlimitedValue(f"{a.label} classified unlimited at depth {depth}")
+    if a.const_value is not None:
+        return Interval.point(a.const_value)
     max_spread = (tolerance.numerator << k) // (2 * tolerance.denominator)
     bracket = a.bracket
     if bracket is None:

@@ -301,14 +301,10 @@ def wst(x: DedekindNumber, tolerance, depth: int = DEFAULT_DEPTH) -> Interval:
     This is ``shadow`` of the hyperreal part: width at most ``2*tolerance``,
     endpoints rounded outward to the dyadic grid ``2^-k <= tolerance/8``.
     """
-    out_of_range = f"{x.render()} lies outside (-DELTA_d, DELTA_d)"
-    # shadow takes a constant as its own point without classifying it
-    if x.h.const_value is not None and classify(x.h, depth) is ClassTag.UNLIMITED:
-        raise OutOfRange(out_of_range)
     try:
         return shadow(x.h, tolerance, depth)
     except UnlimitedValue as exc:
-        raise OutOfRange(out_of_range) from exc
+        raise OutOfRange(f"{x.render()} lies outside (-DELTA_d, DELTA_d)") from exc
 
 
 def dd_cmp(x: DedekindNumber, y: DedekindNumber, depth: int = DEFAULT_DEPTH,
@@ -407,12 +403,8 @@ def rel_holds(kind: str, x: DedekindNumber, y: DedekindNumber, delta: Idempotent
             raise ClassUndetermined("gap membership undecided")
         if not inside:
             return False
-        if x.sign == y.sign:
-            same_delta = (x.delta.is_zero and y.delta.is_zero) or (
-                not x.delta.is_zero and not y.delta.is_zero
-                and idem_cmp(x.delta, y.delta, depth) is Verdict.EQUAL)
-            if same_delta:
-                return True
+        if x.sign == y.sign and idem_cmp(x.delta, y.delta, depth) is Verdict.EQUAL:
+            return True
         below_x = idem_cmp(x.delta, delta, depth)
         below_y = idem_cmp(y.delta, delta, depth)
         if Verdict.UNDETERMINED in (below_x, below_y):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -102,6 +103,10 @@ class TestOutputs:
         doc = json.loads(out)
         assert doc["prime"] == 269
         assert len(doc["I"]) == 4813
+        assert hashlib.sha256(",".join(doc["M"]).encode()).hexdigest() == (
+            "c344977f25f64af41f6665ce1f707a6611f689ba1ba005ea277e8aa41c13caa3")
+        assert hashlib.sha256(doc["I"].encode()).hexdigest() == (
+            "012896f1ac9a916fcc4006b544823bdf265e3ce8f2960dfbb79cf356c1b345cf")
         assert hermite.verify_certificate(hermite.certificate_from_dict(doc))
 
     @pytest.mark.parametrize("argv,coeffs", [

@@ -168,30 +168,20 @@ class TestEInterval:
         assert tight.contains(F(2718281828, 10 ** 9))
 
 
-def first_small_term(k, K):
-    """The first i >= 2k with floor(k^i 2^K / i!) = 0, by direct division."""
-    i = 2 * k
-    while (k ** i << K) // factorial(i):
-        i += 1
-    return i
-
-
 class TestFixedPointKernel:
     @pytest.mark.parametrize("k", range(9))
     @pytest.mark.parametrize("K", [0, 1, 10, 64, 200, 600])
     def test_brackets_e_power(self, k, K):
-        lo, hi = hermite._exp_fixed(k, K)
+        lo, hi = hermite._exp_brackets(8, K)[k]
         scaled = F(sympy.Rational(sympy.exp(k).evalf(300))) * 2 ** K
         assert lo <= scaled < hi
-        assert hi - lo == first_small_term(k, K) + 2  # j floored terms + 2
-        assert hi - lo <= K + 4 * k + 3
+        assert hi - lo <= 2
 
     @pytest.mark.parametrize("tolerance", [F(1), F(1, 3), F(1, 10 ** 12), F(7, 2 ** 300)])
     @pytest.mark.parametrize("k", [1, 3, 8])
     def test_scale_meets_tolerance(self, tolerance, k):
-        K = hermite._exp_bits(tolerance, k)
-        for i in range(k + 1):
-            lo, hi = hermite._exp_fixed(i, K)
+        K = hermite._exp_bits(tolerance)
+        for lo, hi in hermite._exp_brackets(k, K):
             assert F(hi - lo, 2 ** K) <= tolerance / 256
 
     def test_e_upper(self):

@@ -158,6 +158,14 @@ class TestShadow:
         with pytest.raises(UnlimitedValue):
             shadow(sf.OMEGA, F(1, 100))
 
+    def test_unlimited_constant_rejected(self):
+        with pytest.raises(UnlimitedValue):
+            shadow(make(100), F(1, 10))
+
+    def test_constant_needs_depth(self):
+        with pytest.raises(ValueError):
+            shadow(make(F(2, 3)), F(1, 10), depth=0)
+
     def test_no_window_raises(self):
         flip = make(lambda n: F((-1) ** n))
         with pytest.raises(NotConvergentAtDepth):

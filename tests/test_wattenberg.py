@@ -213,7 +213,6 @@ class TestStandardPart:
             wst(dd_add(embed(sf.OMEGA), eps_d()), F(1, 10))
 
     def test_unlimited_constant_rejected(self):
-        # shadow returns a constant as its point; wst still refuses it
         with pytest.raises(OutOfRange):
             wst(dd_add(embed(100), eps_d()), F(1, 10))
 
