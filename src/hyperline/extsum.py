@@ -105,23 +105,21 @@ def partial_sums(spec: SeriesSpec) -> Hyperreal:
 
     Its bracket at scale ``k`` is ``(L_n, L_n + n + 1)``, ``L_n`` the sum of
     ``floor(t_i * 2^k)`` over ``i <= n``: each of the ``n + 1`` floors is less
-    than one unit below its term.  One cumulative table of ``L_n`` is kept
-    per scale, so no exact partial sum is formed for it.
+    than one unit below its term.  Each scale keeps one running-sum table of
+    ``L_n`` (``seqfield.cumulative_gen``, as the exact sums do), so no exact
+    partial sum is formed for it.
     """
     tables: dict = {}
-    lock = threading.Lock()
 
     def bracket(n: int, k: int):
         table = tables.get(k)
-        if table is None or n >= len(table):
-            with lock:
-                table = tables.setdefault(k, [])
-                total = table[-1] if table else 0
-                while len(table) <= n:
-                    term = spec.term_at(len(table))
-                    total += (term.numerator << k) // term.denominator
-                    table.append(total)
-        lo = table[n]
+        if table is None:
+            def floor_term(i):
+                term = spec.term_at(i)
+                return (term.numerator << k) // term.denominator
+
+            table = tables.setdefault(k, sf.cumulative_gen(floor_term))
+        lo = table(n)
         return lo, lo + n + 1
 
     return Hyperreal(sf.cumulative_gen(spec.term_at), label=f"sum[{spec.label}]",
@@ -198,7 +196,7 @@ def _eta_interval(spec: SeriesSpec, eta_terms: int) -> Interval:
     bounds = [Fraction(spec.tail_bound(n)) for n in range(eta_terms)]
     if any(later > earlier for earlier, later in zip(bounds, bounds[1:])):
         raise ValueError(f"{spec.label}: tail bound is not nonincreasing")
-    slack = bounds[-1] if bounds else Fraction(spec.tail_bound(eta_terms - 1))
+    slack = bounds[-1]
     if slack == 0:
         return Interval.point(partial)
     k = grid_bits(slack)
@@ -210,7 +208,12 @@ def _eta_interval(spec: SeriesSpec, eta_terms: int) -> Interval:
 def flat_sum(spec: SeriesSpec, depth: int = DEFAULT_DEPTH,
              eta_terms: int = DEFAULT_ETA_TERMS,
              divergence_probe: int = DEFAULT_DIVERGENCE_PROBE) -> ExtSumResult:
-    """Flat sum of a series, valued in the canonical-form fragment."""
+    """Flat sum of a series, valued in the canonical-form fragment.
+
+    ``eta_terms`` must be at least 1: the tail bound is read at index
+    ``eta_terms - 1``, and it is defined from index 0 on."""
+    if eta_terms < 1:
+        raise ValueError("eta_terms must be >= 1")
     if spec.pattern == SPLIT:
         plus, minus = split_parts(spec)
         if spec.tail_bound is None:

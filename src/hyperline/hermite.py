@@ -252,7 +252,6 @@ class HermiteCertificate:
     prime: int
     M: List[int]
     integer_combination: int
-    eps_bound_ledger: List[Fraction]
     eps_total_bound: Fraction
     lower_bound: Fraction
     checks: Dict[str, bool]
@@ -368,7 +367,7 @@ def nonvanish_certificate(coefficients, p_cap: int = 10_000) -> HermiteCertifica
             "mk_divisible": all(m % p == 0 for m in m_values[1:]),
         }
         if all(checks.values()):  # the cheap checks before the squeeze
-            checks["eps_half"], ledger, total_bound = _certify_eps(n, p, scaled, m_values)
+            checks["eps_half"], total_bound = _certify_eps(n, p, scaled, m_values)
         if checks.get("eps_half"):
             combination = sum(s * m for s, m in zip(scaled, m_values))
             if combination % p == 0:  # excluded by the two divisibility checks
@@ -379,7 +378,6 @@ def nonvanish_certificate(coefficients, p_cap: int = 10_000) -> HermiteCertifica
                 prime=p,
                 M=m_values,
                 integer_combination=combination,
-                eps_bound_ledger=ledger,
                 eps_total_bound=total_bound,
                 lower_bound=Fraction(1, 2 * denom * abs(m0)),
                 checks=checks,
@@ -389,29 +387,28 @@ def nonvanish_certificate(coefficients, p_cap: int = 10_000) -> HermiteCertifica
 
 
 def _certify_eps(n: int, p: int, scaled: List[int],
-                 m_values: List[int]) -> Tuple[bool, List[Fraction], Fraction]:
+                 m_values: List[int]) -> Tuple[bool, Fraction]:
     """Squeeze sum_{k>=1} scaled[k] * (e^k M_0 - M_k) inside (-1/2, 1/2) in
     integers at scale 2^K: with lo <= e^k 2^K <= hi from _exp_brackets, the k-th
     term lies between scaled[k] * (lo M_0 - (M_k << K)) and the same with hi.
-    The ledger holds each term's bound.  The total bound is rounded up to a
-    short dyadic rational, still a bound; an undecided total doubles K."""
+    The total bound is rounded up to a short dyadic rational, still a bound;
+    an undecided total doubles K."""
     m0 = m_values[0]
     K = m0.bit_length() + max(map(abs, scaled)).bit_length() + n.bit_length() + 32
     for _ in range(4):
-        ledger, total_lo, total_hi = [], 0, 0
+        total_lo = total_hi = 0
         brackets = _exp_brackets(n, K)
         for k in range(1, n + 1):
             lo, hi = sorted(scaled[k] * (e * m0 - (m_values[k] << K))
                             for e in brackets[k])
-            ledger.append(max(-lo, hi))
             total_lo, total_hi = total_lo + lo, total_hi + hi
         bound = _round_up_dyadic(Fraction(max(-total_lo, total_hi), 1 << K))
         if bound < Fraction(1, 2):
-            return True, [Fraction(b, 1 << K) for b in ledger], bound
+            return True, bound
         if total_lo << 1 >= 1 << K or total_hi << 1 <= -(1 << K):
             break  # |total| >= 1/2
         K *= 2
-    return False, [], Fraction(0)
+    return False, Fraction(0)
 
 
 def _round_up_dyadic(x: Fraction) -> Fraction:
@@ -424,11 +421,10 @@ def _round_up_dyadic(x: Fraction) -> Fraction:
 def certificate_from_dict(doc: dict) -> HermiteCertificate:
     """Rebuild a certificate from its JSON form (inverse of to_dict).
 
-    The ledger fields not present in the wire format are reconstructed as
-    empty; verification recomputes them anyway.  Numbers are decimal strings
-    (``n`` or ``n/d`` with ``d != 0`` for rationals) of at most
-    ``_MAX_DECIMAL_CHARS`` characters each, and the prime is a JSON integer;
-    anything else raises ValueError.
+    The common denominator is recomputed from the coefficients.  Numbers are
+    decimal strings (``n`` or ``n/d`` with ``d != 0`` for rationals) of at
+    most ``_MAX_DECIMAL_CHARS`` characters each, and the prime is a JSON
+    integer; anything else raises ValueError.
     """
     coeffs = [_rational(num, den) for num, den in doc["coeffs"]]
     denom = lcm(*(c.denominator for c in coeffs))
@@ -438,7 +434,6 @@ def certificate_from_dict(doc: dict) -> HermiteCertificate:
         prime=_prime_from_json(doc["prime"]),
         M=[_from_decimal(m) for m in doc["M"]],
         integer_combination=_from_decimal(doc["I"]),
-        eps_bound_ledger=[],
         eps_total_bound=_fraction_from_text(doc["eps_bound"]),
         lower_bound=_fraction_from_text(doc["lower_bound"]),
         checks=dict(doc["checks"]),
@@ -479,7 +474,7 @@ def verify_certificate(cert: HermiteCertificate, digits: int = 60) -> bool:
         return False
     if any(m % p for m in m_values[1:]):
         return False
-    eps_ok, _, recomputed = _certify_eps(n, p, scaled, m_values)
+    eps_ok, recomputed = _certify_eps(n, p, scaled, m_values)
     if not eps_ok or not recomputed <= cert.eps_total_bound < Fraction(1, 2):
         return False
     if cert.lower_bound != Fraction(1, 2 * cert.common_denominator * abs(m_values[0])):

@@ -39,6 +39,11 @@ lies within one tag and reads the exact ``a(n)`` otherwise, so its tags are
 the exact ones; ``shadow`` scans the brackets' hull, whose cells still hold
 every term.  A sequence without a bracket takes the exact path.
 
+A `Hyperinteger` is a `Hyperreal` whose terms are integers, so it takes
+part in every operation and verdict above.  Floors, Euclidean quotients and
+remainders, and gcds with their Bezout witnesses are its views, with pairs
+``(v, 1)``.
+
 Index origin is 0; classical sequences written from n = 1 are shifted.
 All values are immutable and generators must be pure, so any operation may
 be evaluated concurrently; the memos are only a benign performance detail
@@ -271,7 +276,7 @@ class Hyperreal:
                                lambda c, e: (_pseudo_inverse(c), -e))
 
     def __repr__(self):
-        return f"Hyperreal({self.label})"
+        return f"{type(self).__name__}({self.label})"
 
 
 def _memo_read(memo: dict, fn: Callable[[int], object], n: int):
@@ -338,53 +343,30 @@ def _combine_brackets(ba, bb, symbol):
     return bracket
 
 
-class Hyperinteger:
-    """Lazy exact-integer sequence; embeds losslessly into Hyperreal.
+class Hyperinteger(Hyperreal):
+    """Lazy exact-integer sequence: a `Hyperreal` whose terms are integers.
 
-    As with `Hyperreal`, ``Hyperinteger(gen)`` is a leaf memoized by index;
-    constants and the componentwise operations below are memo-free views.
+    A leaf checks each term is an ``int``, and ``at`` returns an ``int``;
+    its views carry pairs ``(v, 1)``.
     """
 
-    __slots__ = ("gen", "label", "_cache")
+    __slots__ = ()
 
-    def __init__(self, gen: Callable[[int], int], label="<iseq>"):
-        self.gen = gen
-        self.label = label
-        self._cache = {}
+    def __init__(self, gen: Callable[[int], int], label="<iseq>", bracket=None):
+        super().__init__(gen, label, bracket)
 
     @classmethod
-    def _view(cls, gen, label) -> "Hyperinteger":
-        h = cls(gen, label)
-        h._cache = _NO_MEMO
-        return h
-
-    @classmethod
-    def constant(cls, v: int) -> "Hyperinteger":
-        v = int(v)
-        return cls._view(lambda n: v, str(v))
+    def constant(cls, v) -> "Hyperinteger":
+        return super().constant(int(v))
 
     def at(self, n: int) -> int:
-        if n < 0:
-            raise IndexError(n)
-        cache = self._cache
-        if cache is _NO_MEMO:
-            return self.gen(n)
-        return _memo_read(cache, self._leaf_value, n)
+        return int(super().at(n))
 
     def _leaf_value(self, n: int) -> int:
         value = self.gen(n)
         if not isinstance(value, int):
             raise TypeError(f"non-integer term {value!r} at index {n}")
         return value
-
-    def prefix(self, count: int) -> list:
-        return [self.at(i) for i in range(count)]
-
-    def to_hyperreal(self) -> Hyperreal:
-        return Hyperreal._view(lambda n, at=self.at: (at(n), 1), self.label)
-
-    def __repr__(self):
-        return f"Hyperinteger({self.label})"
 
 
 # The canonical named sequences.  Shared leaves, so their memos are reused.
@@ -393,9 +375,11 @@ OMEGA.form = (Fraction(1), 1)
 RECIPROCAL_SUCC = Hyperreal(lambda n: Fraction(1, n + 1), label="1/(n+1)")
 RECIPROCAL_SUCC.form = (Fraction(1), -1)
 
-def cumulative_gen(term: Callable[[int], Fraction]) -> Callable[[int], Fraction]:
-    """Generator of running sums of `term`, with its own thread-safe cache
-    (plain memoization would make deep evaluation quadratic)."""
+def cumulative_gen(term: Callable[[int], object]) -> Callable[[int], object]:
+    """Generator of running sums of `term` (exact fractions, or integers at
+    a fixed scale), with its own thread-safe table (plain memoization would
+    make deep evaluation quadratic).  A term that raises is not recorded, so
+    the next read that needs it raises again."""
     acc: list = []
     lock = threading.Lock()
 
@@ -405,8 +389,8 @@ def cumulative_gen(term: Callable[[int], Fraction]) -> Callable[[int], Fraction]
         with lock:
             while len(acc) <= n:
                 k = len(acc)
-                prev = acc[-1] if acc else Fraction(0)
-                acc.append(prev + Fraction(term(k)))
+                prev = acc[-1] if acc else 0
+                acc.append(prev + term(k))
         return acc[n]
 
     return gen
@@ -429,8 +413,6 @@ def make(source) -> Hyperreal:
     """Build a Hyperreal from a rational, a builtin name, or a generator."""
     if isinstance(source, Hyperreal):
         return source
-    if isinstance(source, Hyperinteger):
-        return source.to_hyperreal()
     if isinstance(source, (int, Fraction)):
         return Hyperreal.constant(source)
     if isinstance(source, str):
@@ -627,7 +609,7 @@ def hyper_floor(a) -> Hyperinteger:
 
     def gen(n, pair=a.pair):  # floor(p/q) is unchanged by scaling p and q alike
         p, q = pair(n)
-        return p // q
+        return p // q, 1
 
     return Hyperinteger._view(gen, f"floor({a.label})")
 
@@ -653,20 +635,14 @@ def _eucl_divmod(a: int, d: int):
 def div_rem(a: Hyperinteger, d: Hyperinteger):
     """Componentwise Euclidean division with 0 <= r < |d|."""
 
-    def quot(n):
+    def quot_rem(n):
         di = d.at(n)
         if di == 0:
             raise DivisionByZeroAtIndex(n)
-        return _eucl_divmod(a.at(n), di)[0]
+        return _eucl_divmod(a.at(n), di)
 
-    def rem(n):
-        di = d.at(n)
-        if di == 0:
-            raise DivisionByZeroAtIndex(n)
-        return _eucl_divmod(a.at(n), di)[1]
-
-    return (Hyperinteger._view(quot, f"({a.label} div {d.label})"),
-            Hyperinteger._view(rem, f"({a.label} mod {d.label})"))
+    return (Hyperinteger._view(lambda n: (quot_rem(n)[0], 1), f"({a.label} div {d.label})"),
+            Hyperinteger._view(lambda n: (quot_rem(n)[1], 1), f"({a.label} mod {d.label})"))
 
 
 def _xgcd(a: int, b: int):
@@ -693,9 +669,9 @@ def gcd_bezout(a: Hyperinteger, d: Hyperinteger):
     def triple(n):
         return _memo_read(memo, lambda i: _xgcd(a.at(i), d.at(i)), n)
 
-    return (Hyperinteger._view(lambda n: triple(n)[0], f"gcd({a.label},{d.label})"),
-            Hyperinteger._view(lambda n: triple(n)[1], "bezout-s"),
-            Hyperinteger._view(lambda n: triple(n)[2], "bezout-t"))
+    return (Hyperinteger._view(lambda n: (triple(n)[0], 1), f"gcd({a.label},{d.label})"),
+            Hyperinteger._view(lambda n: (triple(n)[1], 1), "bezout-s"),
+            Hyperinteger._view(lambda n: (triple(n)[2], 1), "bezout-t"))
 
 
 def arch_compare(a, b, depth: int = DEFAULT_DEPTH,
@@ -708,6 +684,8 @@ def arch_compare(a, b, depth: int = DEFAULT_DEPTH,
     ``|a(n)/b(n)| = |c_a/c_b| (n+1)^(e_a - e_b)`` is monotone in ``n``, as
     is its tag (LOWER < SAME < HIGHER), so the window's two ends decide it.
     """
+    if depth < 1 or probes < 1:
+        raise ValueError("depth and probes must be >= 1")
     a, b = make(a), make(b)
     pa, pb = a.pair, b.pair
 

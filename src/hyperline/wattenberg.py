@@ -423,4 +423,4 @@ def dd_floor(x: DedekindNumber) -> DedekindNumber:
     """Canonical-fragment floor: the componentwise floor of the hyperreal
     part, embedded as a pure cut.  Forms whose idempotent reaches the class
     of 1 are projected the same way."""
-    return embed(hyper_floor(x.h).to_hyperreal())
+    return embed(hyper_floor(x.h))

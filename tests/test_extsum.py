@@ -66,6 +66,21 @@ class TestPartialSums:
         assert reads == {n: 1 for n in range(10)}
 
 
+    def test_raising_term_leaves_the_tables_unchanged(self):
+        # a negative term in a nonnegative series raises at index 5
+        spec = SeriesSpec(lambda n: F(1, 2) if n < 5 else F(-1), "nonneg",
+                          None, "turns")
+        sums = partial_sums(spec)
+        for read in (lambda n: sums.at(n), lambda n: sums.bracket(n, 3)):
+            read(2)
+            for _ in range(2):
+                with pytest.raises(ValueError, match="negative term at index 5"):
+                    read(9)
+        assert sums.prefix(5) == [F(n + 1, 2) for n in range(5)]
+        assert [sums.bracket(n, 3) for n in range(5)] == \
+            [(4 * (n + 1), 5 * (n + 1)) for n in range(5)]
+
+
 class TestFlatSum:
     def test_geometric_half(self):
         result = flat_sum(geom(F(1, 2)))
@@ -105,6 +120,12 @@ class TestFlatSum:
                 for end in (eta.lo, eta.hi):
                     assert end.denominator & (end.denominator - 1) == 0
                     assert end.denominator < 2 / slack
+
+    @pytest.mark.parametrize("spec", [pser(2), geom(F(1, 2))], ids=lambda spec: spec.label)
+    @pytest.mark.parametrize("eta_terms", [0, -6])
+    def test_refuses_eta_terms_below_one(self, spec, eta_terms):
+        with pytest.raises(ValueError, match="eta_terms must be >= 1"):
+            flat_sum(spec, eta_terms=eta_terms)
 
     def test_tail_bound_checked_on_whole_prefix(self):
         # nonincreasing at 63 and 127, rising at 10

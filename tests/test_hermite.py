@@ -337,7 +337,7 @@ class TestLargeCertificate:
     def test_rounded_bound_covers_exact_bound(self, monkeypatch):
         cert = nonvanish_certificate(self.COEFFS)
         monkeypatch.setattr(hermite, "_round_up_dyadic", lambda x: x)
-        ok, _, exact = hermite._certify_eps(3, cert.prime, [126, 1, 1, -2], cert.M)
+        ok, exact = hermite._certify_eps(3, cert.prime, [126, 1, 1, -2], cert.M)
         assert ok
         assert exact != cert.eps_total_bound
         assert exact <= cert.eps_total_bound < F(1, 2)

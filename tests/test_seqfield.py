@@ -414,6 +414,16 @@ class TestFloor:
 
 
 class TestIntegerOps:
+    def test_hyperinteger_is_a_hyperreal(self):
+        i = sf.Hyperinteger(lambda n: 2 * n + 5)
+        assert make(i) is i
+        assert compare(i, 3) == sf.CompareResult(Verdict.GREATER, 0)
+        assert (i + 1).prefix(3) == [6, 8, 10]
+        assert [type(v) for v in i.prefix(2)] == [int, int]
+        assert repr(i) == "Hyperinteger(<iseq>)"
+        assert repr(sf.Hyperinteger.constant(F(7, 2))) == "Hyperinteger(3)"
+        assert repr(hyper_floor(sf.OMEGA)) == "Hyperinteger(floor(omega))"
+
     def test_divides_multiples(self):
         a = sf.Hyperinteger(lambda n: 3 * n)
         check = divides(a, sf.Hyperinteger.constant(3))
@@ -480,6 +490,16 @@ class TestArchClasses:
     def test_zero_tail_raises(self):
         with pytest.raises(ZeroTailAtDepth):
             arch_compare(make(0), make(1), depth=64)
+
+    @pytest.mark.parametrize("a, b, depth, probes", [
+        (sf.OMEGA, make(3), 64, 0),
+        (sf.OMEGA, make(3), 0, 64),
+        (sf.OMEGA, make(3), -5, 64),
+        (make(lambda n: F(n + 1)), make(lambda n: F(3)), -5, 64),
+    ], ids=["probes-0", "depth-0", "depth-negative", "leaves-depth-negative"])
+    def test_refuses_empty_window_or_budget(self, a, b, depth, probes):
+        with pytest.raises(ValueError, match="depth and probes"):
+            arch_compare(a, b, depth, probes)
 
 
 class TestConcurrentEvaluation:
@@ -636,7 +656,7 @@ class TestMemos:
         i = sf.Hyperinteger(lambda n: 5 * n + 7)
         j = sf.Hyperinteger(lambda n: 3 * n + 2)
         views = [a + b, a - b, a * b, -a, abs(a), a.tilde_inv(), make(F(3, 4)),
-                 sf.OMEGA * 3, sf.RECIPROCAL_SUCC + sf.HARMONIC, i.to_hyperreal(),
+                 sf.OMEGA * 3, sf.RECIPROCAL_SUCC + sf.HARMONIC,
                  hyper_floor(a), *div_rem(i, j), *gcd_bezout(i, j),
                  sf.Hyperinteger.constant(4)]
         for view in views:
@@ -690,7 +710,7 @@ def _values_leaf(values):
 
 
 def _integer_leaf(values):
-    seq = sf.Hyperinteger(lambda n: values[n % len(values)]).to_hyperreal()
+    seq = sf.Hyperinteger(lambda n: values[n % len(values)])
     return seq, lambda n: F(values[n % len(values)])
 
 
