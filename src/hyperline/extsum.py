@@ -41,6 +41,26 @@ SPLIT = "split"
 
 @dataclass(frozen=True)
 class SeriesSpec:
+    """A series ``sum t_n`` from its terms, its sign pattern and, optionally,
+    a certified tail bound.
+
+    The tail-bound contract: ``tail_bound(k) >= sum_{n>k} |t_n|`` at every
+    ``k >= 0``, nonincreasing in ``k``.  It bounds the absolute tail, not only
+    the signed one.  ``split_parts`` relies on that when it gives each half
+    the bound at the original index of its ``k``-th term, and so does
+    ``partial_sums``'s cut-off, which freezes a one-signed table once
+    ``tail_bound(i) < 2^-k``.  The DSL's series keep it: ``pser`` and a
+    nonnegative ``geom`` are one-signed, a negative ``geom`` bounds the
+    absolute tail by ``|r|^(k+2) / (1 - |r|)``, and ``alt(...)`` reuses the
+    bound of the absolute terms.  ``powers_recip`` rests on
+    ``goldbach.tail_bound``, whose factor 2 is checked exactly only for
+    ``L < 2*10^5``.  The ``i``-th perfect power is at most ``(i+2)^2``, so
+    its bound at index ``i`` exceeds ``2/(i+3)``, which at ``i <= depth``
+    is above ``2^-(bits(depth) + 3)``: its brackets never freeze at the
+    scales ``shadow`` and ``classify`` read.
+    A split series whose bound holds only for the signed tail breaks the
+    contract.
+    """
     term: Callable[[int], Fraction]
     pattern: str
     tail_bound: Optional[Callable[[int], Fraction]] = None
@@ -104,21 +124,50 @@ def partial_sums(spec: SeriesSpec) -> Hyperreal:
     """The identity-permutation representative: the hyperreal of partial sums.
 
     Its bracket at scale ``k`` is ``(L_n, L_n + n + 1)``, ``L_n`` the sum of
-    ``floor(t_i * 2^k)`` over ``i <= n``: each of the ``n + 1`` floors is less
-    than one unit below its term.  Each scale keeps one running-sum table of
-    ``L_n`` (``seqfield.cumulative_gen``, as the exact sums do), so no exact
-    partial sum is formed for it.
+    ``floor(t_j * 2^k)`` over ``j <= n``: ``L_n <= a(n) * 2^k < L_n + n + 1``,
+    as each of the ``n + 1`` floors is less than one unit below its term.
+    Each scale keeps one running-sum table of ``L_n``
+    (``seqfield.cumulative_gen``, as the exact sums do), so no exact partial
+    sum is formed for it.
+
+    A one-signed series with a tail bound ``T`` freezes its table at the
+    certified tail.  At scale ``k`` let ``i`` be the first of ``1, 2, 4, ...``
+    with ``T(i) < 2^-k``; a read at ``n`` checks only the ``i <= n``.  For
+    ``n > i`` the terms after ``i`` add ``d = (a(n) - a(i)) * 2^k``, and
+    ``|d| <= T(i) * 2^k < 1``.  A nonnegative series has ``0 <= d < 1``, so
+    ``L_i <= a(n) * 2^k < L_i + i + 2``; a nonpositive one has
+    ``-1 < d <= 0``, so ``L_i - 1 < a(n) * 2^k < L_i + i + 1``.  That frozen
+    bracket, ``i + 2 <= n + 1`` wide, is returned for every ``n > i``, and
+    no term after ``i`` is floored at that scale.
     """
-    tables: dict = {}
+    # per scale k: [table of L_n, next index to check, frozen (i, bracket)]
+    scales: dict = {}
+    bound = None if spec.pattern == SPLIT else spec.tail_bound
+    below = 1 if spec.pattern == NONPOS else 0
+    lock = threading.Lock()
 
     def bracket(n: int, k: int):
-        table = tables.get(k)
-        if table is None:
+        scale = scales.get(k)
+        if scale is None:
             def floor_term(i):
                 term = spec.term_at(i)
                 return (term.numerator << k) // term.denominator
 
-            table = tables.setdefault(k, sf.cumulative_gen(floor_term))
+            scale = scales.setdefault(k, [sf.cumulative_gen(floor_term), 1, None])
+        table = scale[0]
+        if scale[2] is None and bound is not None and scale[1] <= n:
+            with lock:  # the check index only grows past indices that failed
+                unit = Fraction(1, 1 << k)
+                while scale[2] is None and scale[1] <= n:
+                    i = scale[1]
+                    if 0 <= Fraction(bound(i)) < unit:
+                        lo = table(i) - below
+                        scale[2] = (i, (lo, lo + i + 2))
+                    else:
+                        scale[1] = 2 * i
+        frozen = scale[2]
+        if frozen is not None and n > frozen[0]:
+            return frozen[1]
         lo = table(n)
         return lo, lo + n + 1
 
@@ -260,6 +309,8 @@ def upper_lower_limit(a, tail_bound=None, depth: int = DEFAULT_DEPTH):
     this is the documented divergence from the +/- eps_d form that genuine
     (non-realized) convergence produces.
     """
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     a = make(a)
     if compare(a, a.at(depth), depth).verdict is Verdict.EQUAL:
         exact = embed(a)
@@ -294,11 +345,17 @@ class BoundedPermutation:
 
 
 def rearranged(spec: SeriesSpec, perm: BoundedPermutation) -> SeriesSpec:
-    """The permuted series; the certificate shifts by the displacement."""
+    """The permuted series; the certificate shifts by the displacement.
+
+    A term after index ``k`` comes from an index above ``k - d``, ``d`` the
+    displacement, so ``bound(k - d)`` covers the tail for ``k >= d``.  For
+    ``k < d`` the tail may hold term 0, so the whole sum's bound
+    ``|t_0| + bound(0)`` stands in."""
     bound = spec.tail_bound
+    d = perm.displacement
     shifted = None
     if bound is not None:
-        shifted = lambda k: bound(max(0, k - perm.displacement))
+        shifted = lambda k: bound(k - d) if k >= d else bound(0) + abs(spec.term_at(0))
     return SeriesSpec(lambda n: spec.term_at(perm.mapping(n)), spec.pattern,
                       shifted, f"{spec.label} o sigma")
 

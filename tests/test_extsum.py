@@ -215,6 +215,8 @@ class TestUpperLowerLimits:
     def test_depth_must_be_positive(self):
         with pytest.raises(ValueError):
             upper_lower_limit(make(F(7)), depth=0)
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            upper_lower_limit(make(F(7)), depth=-2)
 
     def test_oscillation_unknown(self):
         with pytest.raises(ConvergenceUnknown):
@@ -265,6 +267,21 @@ class TestRearrangement:
         for n in (5, 17, 100):
             assert moved.at(n) <= orig.at(n + 4)
             assert orig.at(n) <= moved.at(n + 4)
+
+    def test_tail_bound_covers_moved_head(self):
+        # geom(1/100) sums to 1/99; reversing blocks of 100 moves term 0 past
+        # index k < 99, so bound(0) alone misses it; the frozen brackets rest
+        # on the bound
+        spec = geom(F(1, 100))
+        perm = BoundedPermutation(lambda i: (i // 100) * 100 + 99 - i % 100, 99)
+        moved = rearranged(spec, perm)
+        for k in (0, 1, 50, 98, 99, 150):
+            tail = F(1, 99) - sum(moved.term_at(n) for n in range(k + 1))
+            assert tail <= moved.tail_bound(k)
+        sums = partial_sums(moved)
+        for n in (150, 250):
+            lo, hi = sums.bracket(n, 13)
+            assert lo <= sums.at(n) * 2 ** 13 <= hi
 
     def test_invalid_permutation_rejected(self):
         not_injective = BoundedPermutation(lambda i: 0, 2)
@@ -402,6 +419,65 @@ class TestBrackets:
             sys.setswitchinterval(interval)
         for s, got in zip(range(0, 400, 50), results):
             assert got == want[s:]
+
+    def test_bracket_freezes_at_the_certified_tail(self):
+        # geom(1/3): T(i) = (1/3)^(i+2) * 3/2 < 2^-40 first at i = 24, and
+        # the first checked index past it is 32
+        sums = partial_sums(geom(F(1, 3)))
+        low = sum((F(1, 3) ** (j + 1) * 2 ** 40).__floor__() for j in range(33))
+        assert sums.bracket(32, 40) == (low, low + 33)
+        for n in (33, 100, 2048):
+            assert sums.bracket(n, 40) == (low, low + 34)
+            assert low <= sums.at(n) * 2 ** 40 <= low + 34
+
+    def test_freeze_needs_a_tail_below_one_unit(self):
+        # geom(1/2): T(i) = 2^-(i+1) is one unit at scale 5 at i = 4, not
+        # below it, so the table runs on to the next checked index, 8
+        sums = partial_sums(geom(F(1, 2)))
+        for n, width in ((4, 5), (8, 9), (9, 10), (600, 10)):
+            lo, hi = sums.bracket(n, 5)
+            assert hi - lo == width
+
+    def test_negative_half_freezes_one_unit_lower(self):
+        # geom(-1/3)'s negative half holds the terms -(1/3)^(2j+1) with tail
+        # bound T(2j); T(2j) < 2^-40 first at j = 12, checked at j = 16
+        _, minus = split_parts(geom(F(-1, 3)))
+        sums = partial_sums(minus)
+        low = sum((-F(1, 3) ** (2 * j + 1) * 2 ** 40).__floor__() for j in range(17))
+        assert sums.bracket(16, 40) == (low, low + 17)
+        for n in (17, 100, 2048):
+            assert sums.bracket(n, 40) == (low - 1, low + 17)
+            assert low - 1 <= sums.at(n) * 2 ** 40 <= low + 17
+
+    def test_cut_off_floors_few_terms(self):
+        # flat_sum + wst of geom(1/3) reads one scale, f = 30 + 12 + 3, and
+        # freezes it at index 32 instead of flooring all 2049 terms
+        calls = []
+        inner = geom(F(1, 3))
+
+        def term(n):
+            calls.append(n)
+            return inner.term(n)
+
+        result = flat_sum(SeriesSpec(term, inner.pattern, inner.tail_bound,
+                                     inner.label), depth=2048)
+        assert len(calls) == 128  # the eta interval's exact terms
+        del calls[:]
+        assert wst(result.value, F(1, 10 ** 8), 2048).contains(F(1, 2))
+        assert calls.count(0) == 1 and len(calls) <= 64
+
+    def test_powers_recip_never_freezes_at_scan_scales(self):
+        # the i-th perfect power is at most (i+2)^2, so T(i) > 2/(i+3), above
+        # 2^-(bits(depth)+3), the coarsest scale shadow and classify read
+        depth = 4096
+        spec = parse_series("powers_recip")
+        fine = depth.bit_length() + 3
+        assert spec.tail_bound(depth) >= F(1, 2 ** fine)
+        sums = partial_sums(spec)
+        lo, hi = sums.bracket(depth, fine)
+        assert hi - lo == depth + 1
+        lo, hi = sums.bracket(depth, 2)  # a coarse scale does freeze
+        assert hi - lo < depth + 1
 
     @given(name=series_names, depth=st.integers(1, 200),
            probes=st.sampled_from([1, 2, 3, 64, 4096]))
