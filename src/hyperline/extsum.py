@@ -57,7 +57,9 @@ class SeriesSpec:
     ``L < 2*10^5``.  The ``i``-th perfect power is at most ``(i+2)^2``, so
     its bound at index ``i`` exceeds ``2/(i+3)``, which at ``i <= depth``
     is above ``2^-(bits(depth) + 3)``: its brackets never freeze at the
-    scales ``shadow`` and ``classify`` read.
+    scales ``shadow`` and ``classify`` read.  Its partial sums are monotone
+    all the same, so ``classify`` reads its window's two ends and
+    ``shadow`` bisects (see ``partial_sums``).
     A split series whose bound holds only for the signed tail breaks the
     contract.
     """
@@ -89,9 +91,11 @@ def geom(ratio) -> SeriesSpec:
     else:
         pattern = SPLIT
     bound = None
-    if abs(r) < 1:
+    a = abs(r)
+    if a < 1:
         # |sum_{n>k} r^(n+1)| <= |r|^(k+2) / (1 - |r|)
-        bound = lambda k: abs(r) ** (k + 2) / (1 - abs(r))
+        scale = 1 / (1 - a)
+        bound = lambda k: a ** (k + 2) * scale
     return SeriesSpec(lambda n: r ** (n + 1), pattern, bound, f"geom({r})")
 
 
@@ -138,7 +142,17 @@ def partial_sums(spec: SeriesSpec) -> Hyperreal:
     ``L_i <= a(n) * 2^k < L_i + i + 2``; a nonpositive one has
     ``-1 < d <= 0``, so ``L_i - 1 < a(n) * 2^k < L_i + i + 1``.  That frozen
     bracket, ``i + 2 <= n + 1`` wide, is returned for every ``n > i``, and
-    no term after ``i`` is floored at that scale.
+    no term after ``i`` is floored at that scale.  A frozen read reports the
+    run start ``i + 1``, any other read ``n`` (see ``seqfield``).
+
+    The partial sums of a nonnegative series are marked monotone.  Each
+    ``floor(t_j * 2^k)`` of a term ``t_j >= 0`` is ``>= 0``, so ``L_n`` is
+    nondecreasing and ``L_n + n + 1`` increasing in ``n``.  The frozen
+    bracket ``(L_i, L_i + i + 2)`` is at least every earlier one, as
+    ``L_m <= L_i`` and ``L_m + m + 1 <= L_i + i + 1`` for ``m <= i``.  So
+    both ends are nondecreasing at every scale, and so is ``a(n) >= 0``.  A
+    nonpositive series is not marked: a zero term floors to 0 and raises
+    ``L_n + n + 1`` by one, so its upper ends rise as its sums fall.
     """
     # per scale k: [table of L_n, next index to check, frozen (i, bracket)]
     scales: dict = {}
@@ -162,17 +176,19 @@ def partial_sums(spec: SeriesSpec) -> Hyperreal:
                     i = scale[1]
                     if 0 <= Fraction(bound(i)) < unit:
                         lo = table(i) - below
-                        scale[2] = (i, (lo, lo + i + 2))
+                        scale[2] = (i, (lo, lo + i + 2, i + 1))
                     else:
                         scale[1] = 2 * i
         frozen = scale[2]
         if frozen is not None and n > frozen[0]:
             return frozen[1]
         lo = table(n)
-        return lo, lo + n + 1
+        return lo, lo + n + 1, n
 
-    return Hyperreal(sf.cumulative_gen(spec.term_at), label=f"sum[{spec.label}]",
+    sums = Hyperreal(sf.cumulative_gen(spec.term_at), label=f"sum[{spec.label}]",
                      bracket=bracket)
+    sums.monotone = spec.pattern == NONNEG
+    return sums
 
 
 @dataclass(frozen=True)
@@ -239,13 +255,16 @@ def _eta_interval(spec: SeriesSpec, eta_terms: int) -> Interval:
     the exact point.
 
     The tail bound is checked nonincreasing at every index of
-    ``[0, eta_terms)``; a certificate that rises beyond them is not detected.
+    ``[0, eta_terms)``, and a negative one is refused; a certificate that
+    rises beyond them is not detected.
     """
     partial = sum((spec.term_at(n) for n in range(eta_terms)), Fraction(0))
     bounds = [Fraction(spec.tail_bound(n)) for n in range(eta_terms)]
     if any(later > earlier for earlier, later in zip(bounds, bounds[1:])):
         raise ValueError(f"{spec.label}: tail bound is not nonincreasing")
     slack = bounds[-1]
+    if slack < 0:  # the least bound, as they are nonincreasing
+        raise ValueError(f"{spec.label}: tail bound is negative")
     if slack == 0:
         return Interval.point(partial)
     k = grid_bits(slack)

@@ -117,6 +117,17 @@ def hermite_Ms(n: int, p: int) -> List[int]:
     top F_e = c_e + (e+1) F_(e+1), and F(k) follows by Horner's rule: every
     product is a big integer times a small one.  The division is checked
     exact.
+
+    Hermite's divisibility follows in closed form.  f^(j)(x) = sum_e c_e
+    e!/(e-j)! x^(e-j) with e!/(e-j)! = j! C(e, j), so f^(j) at an integer
+    is a multiple of j!, and of p! = p (p-1)! for j >= p.  For 1 <= k <= n,
+    f has a zero of order p at k, so f^(j)(k) = 0 for j < p, p! divides
+    F(k), and M_k = 0 (mod p).  At 0 the zero has order p-1: f^(j)(0) =
+    j! c_j is 0 for j < p-1 and a multiple of p! for j >= p, so F(0) =
+    (p-1)! c_(p-1) + (a multiple of p!) and M_0 = c_(p-1) = ((-1)^n n!)^p
+    = (-1)^n n! (mod p) by Fermat, nonzero mod p exactly when p > n.  The
+    certificate checks still test both, as an untrusted certificate needs
+    them.
     """
     big_f = poly_expand_f(n, p)
     for e in range(len(big_f) - 2, -1, -1):

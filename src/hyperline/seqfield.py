@@ -31,13 +31,25 @@ verdicts; values are always read from the generator.  ``compare``,
 or from the window's two ends (the proofs are in their docstrings); every
 other case runs the scan.
 
-A sequence may also carry an integer *bracket* ``bracket(n, k) -> (lo, hi)``
-with ``lo <= a(n) * 2^k <= hi``, cheaper to compute than ``a(n)`` itself
-(partial sums of series set one; ``+`` and ``-`` propagate it).  It only
-filters: ``classify`` decides an index from its bracket when the bracket
-lies within one tag and reads the exact ``a(n)`` otherwise, so its tags are
-the exact ones; ``shadow`` scans the brackets' hull, whose cells still hold
-every term.  A sequence without a bracket takes the exact path.
+A sequence may also carry an integer *bracket* ``bracket(n, k) -> (lo, hi,
+start)`` with ``lo <= a(n) * 2^k <= hi``, cheaper to compute than ``a(n)``
+itself (partial sums of series set one; ``+`` and ``-`` propagate it).
+``start <= n`` opens a run: every index of ``[start, n]`` has the bracket
+``(lo, hi)`` (a partial sum frozen at its certified tail reports where the
+freeze begins, any other read ``n``; ``+`` and ``-`` take the larger of
+their operands' starts).  It only filters: ``classify`` decides an index
+from its bracket when the bracket lies within one tag and reads the exact
+``a(n)`` otherwise, so its tags are the exact ones; ``shadow`` scans the
+brackets' hull, whose cells still hold every term.  Both cross a run in one
+step, as its indices share one cell and, when the bracket decides it, one
+tag.  A sequence without a bracket takes the exact path.
+
+A bracketed sequence may also be *monotone*: ``a(n) >= 0`` is nondecreasing
+and so are both ends of its bracket at every scale (the partial sums of a
+nonnegative series set it; nothing propagates it).  Its tags are then
+monotone in ``n``, so ``classify`` reads the window's two ends, and the hull
+of the cells of ``[n, depth]`` is ``(cell_lo(n), cell_hi(depth))``, so
+``shadow`` finds its window start by bisection.
 
 A `Hyperinteger` is a `Hyperreal` whose terms are integers, so it takes
 part in every operation and verdict above.  Floors, Euclidean quotients and
@@ -148,19 +160,24 @@ class Hyperreal:
     monomial form or None (see the module docstring).  ``const_value`` is the
     value of a sequence built by ``constant`` (whose label is that value) and
     None otherwise; ``shadow`` takes it as an exact point.  ``bracket``, when
-    set, maps ``(n, k)`` to integers ``(lo, hi)`` with
-    ``lo <= a(n) * 2^k <= hi``.
+    set, maps ``(n, k)`` to integers ``(lo, hi, start)`` with
+    ``lo <= a(n) * 2^k <= hi`` and the same ``(lo, hi)`` at every index of
+    ``[start, n]``; ``monotone`` marks a bracketed sequence whose values and
+    bracket ends are nondecreasing, values ``>= 0`` (see the module
+    docstring).
     """
 
-    __slots__ = ("gen", "form", "const_value", "label", "bracket", "_cache")
+    __slots__ = ("gen", "form", "const_value", "label", "bracket", "monotone",
+                 "_cache")
 
     def __init__(self, gen: Callable[[int], Fraction], label="<seq>",
-                 bracket: Optional[Callable[[int, int], Tuple[int, int]]] = None):
+                 bracket: Optional[Callable[[int, int], Tuple[int, int, int]]] = None):
         self.gen = gen
         self.form: Optional[Form] = None
         self.const_value: Optional[Fraction] = None
         self.label = label
         self.bracket = bracket
+        self.monotone = False
         self._cache = {}
 
     @classmethod
@@ -329,17 +346,19 @@ def _pair_op(symbol, pa, pb) -> Callable[[int], Pair]:
 
 
 def _combine_brackets(ba, bb, symbol):
-    """Bracket of a pointwise sum or difference; None unless both have one."""
+    """Bracket of a pointwise sum or difference; None unless both have one.
+    Both operands' brackets are constant on ``[max(start_a, start_b), n]``,
+    so the combined one is too."""
     if ba is None or bb is None or symbol not in "+-":
         return None
     if symbol == "+":
         def bracket(n, k):
-            (lo_a, hi_a), (lo_b, hi_b) = ba(n, k), bb(n, k)
-            return lo_a + lo_b, hi_a + hi_b
+            (lo_a, hi_a, start_a), (lo_b, hi_b, start_b) = ba(n, k), bb(n, k)
+            return lo_a + lo_b, hi_a + hi_b, max(start_a, start_b)
     else:
         def bracket(n, k):
-            (lo_a, hi_a), (lo_b, hi_b) = ba(n, k), bb(n, k)
-            return lo_a - hi_b, hi_a - lo_b
+            (lo_a, hi_a, start_a), (lo_b, hi_b, start_b) = ba(n, k), bb(n, k)
+            return lo_a - hi_b, hi_a - lo_b, max(start_a, start_b)
     return bracket
 
 
@@ -465,7 +484,8 @@ def compare(a, b, depth: int = DEFAULT_DEPTH) -> CompareResult:
     return CompareResult(_BY_SIGN[last + 1], w)
 
 
-def _half_window_tag(tag_at, depth: int, undetermined, monotone: bool = False):
+def _half_window_tag(tag_at, depth: int, undetermined, monotone: bool = False,
+                     runs: bool = False):
     """The tag shared by every index of ``[depth//2, depth]``, else
     ``undetermined``.
 
@@ -477,11 +497,25 @@ def _half_window_tag(tag_at, depth: int, undetermined, monotone: bool = False):
     ``monotone`` says that the tags, in their natural order, are monotone in
     ``n``: then every index between two with the same tag has that tag too,
     and the two ends of the window decide it.
+
+    With ``runs``, ``tag_at(n)`` returns ``(tag, start)``, ``start <= n``,
+    with that tag at every index of ``[start, n]``, and the scan goes on
+    from ``start - 1``.
     """
+    half = depth // 2
+    if runs:
+        tag, start = tag_at(depth)
+        if monotone:
+            return tag if start <= half or tag_at(half)[0] is tag else undetermined
+        while start > half:
+            other, start = tag_at(start - 1)
+            if other is not tag:
+                return undetermined
+        return tag
     tag = tag_at(depth)
     if tag is None:
         return undetermined
-    lower = (depth // 2,) if monotone else range(depth - 1, depth // 2 - 1, -1)
+    lower = (half,) if monotone else range(depth - 1, half - 1, -1)
     for n in lower:
         if tag_at(n) is not tag:
             return undetermined
@@ -506,10 +540,12 @@ def _classify(a: Hyperreal, depth: int, probes: int, scale: int) -> ClassTag:
 
     ``|a(n)|`` lies in ``[low, high] / 2^scale``, and the tag grows with
     ``|a(n)|``, so the tags of ``low`` and ``high`` agreeing decide the tag
-    of ``a(n)``; when they differ the exact value is read.
+    of ``a(n)``, and of every index of the bracket's run; when they differ
+    the exact value is read, for that index alone.
 
     For a form ``(c, e)``, ``|a(n)| = |c| (n+1)^e`` is monotone in ``n``, so
-    its tag is too, and the window's two ends decide it.
+    its tag is too, and the window's two ends decide it.  So does a monotone
+    sequence's ``|a(n)| = a(n)``.
     """
     def tag_of(p, q):  # the tag of p/q, q > 0
         p = abs(p)
@@ -528,13 +564,13 @@ def _classify(a: Hyperreal, depth: int, probes: int, scale: int) -> ClassTag:
     one = 1 << scale
 
     def tag_at(n):
-        lo, hi = bracket(n, scale)
+        lo, hi, start = bracket(n, scale)
         tag = tag_of(max(lo, -hi, 0), one)
         if tag is tag_of(max(-lo, hi), one):
-            return tag
-        return tag_of(*pair(n))
+            return tag, start
+        return tag_of(*pair(n)), n
 
-    return _half_window_tag(tag_at, depth, ClassTag.UNDETERMINED)
+    return _half_window_tag(tag_at, depth, ClassTag.UNDETERMINED, a.monotone, True)
 
 
 def shadow(a, tolerance, depth: int = DEFAULT_DEPTH) -> Interval:
@@ -578,26 +614,52 @@ def shadow(a, tolerance, depth: int = DEFAULT_DEPTH) -> Interval:
         def cell(n):
             p, q = pair(n)
             m = (p << k) // q
-            return m, m + 1
+            return m, m + 1, n
     else:
         shift = fine - k
 
         def cell(n):
-            lo, hi = bracket(n, fine)
-            return lo >> shift, -(-hi >> shift)
+            lo, hi, start = bracket(n, fine)
+            return lo >> shift, -(-hi >> shift), start
 
-    lo, hi = cell(depth)
-    w = depth
-    for n in range(depth - 1, -1, -1):
-        cell_lo, cell_hi = cell(n)
-        new_lo, new_hi = min(lo, cell_lo), max(hi, cell_hi)
-        if new_hi - new_lo > max_spread:
-            break
-        lo, hi, w = new_lo, new_hi, n
+    lo, hi, w = _hull_window(cell, depth, max_spread, a.monotone)
     if 2 * w > depth:
         raise NotConvergentAtDepth(
             f"no Cauchy window at tolerance {tolerance} within depth {depth}")
     return Interval(Fraction(hi, 1 << k) - tolerance, Fraction(lo, 1 << k) + tolerance)
+
+
+def _hull_window(cell, depth: int, max_spread: int, monotone: bool):
+    """``shadow``'s hull ``(lo, hi)`` and window start ``w``: the scan steps
+    down from ``depth`` while the hull of the cells spreads at most
+    ``max_spread``.  ``cell(n)`` is ``(cell_lo, cell_hi, start)``, with that
+    cell at every index of the run ``[start, n]``.
+
+    An equal cell does not change the hull, so the scan takes a whole run or
+    stops at its top.  Monotone cells are nondecreasing, so the hull of
+    ``[n, depth]`` is ``(cell_lo(n), cell_hi(depth))``; its spread grows as
+    ``n`` falls, and a bisection finds the least ``n`` the scan reaches.
+    """
+    lo, hi, start = cell(depth)
+    if monotone:
+        low, w = 0, depth  # the window starts in [low, w]; lo is cell_lo(w)
+        while low < w:
+            mid = (low + w) // 2
+            cell_lo = cell(mid)[0]
+            if hi - cell_lo <= max_spread:
+                w, lo = mid, cell_lo
+            else:
+                low = mid + 1
+        return lo, hi, w
+    w, cell_lo, cell_hi = depth, lo, hi
+    while True:  # the run [start, w - 1] ([start, depth] at first) has this cell
+        new_lo, new_hi = min(lo, cell_lo), max(hi, cell_hi)
+        if new_hi - new_lo > max_spread:
+            return lo, hi, w
+        lo, hi, w = new_lo, new_hi, start
+        if not start:
+            return lo, hi, w
+        cell_lo, cell_hi, start = cell(start - 1)
 
 
 def hyper_floor(a) -> Hyperinteger:

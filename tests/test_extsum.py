@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 from hyperline import seqfield as sf
 from hyperline import wattenberg as wb
 from hyperline.errors import ConvergenceUnknown, InvalidPermutation
-from hyperline.extsum import (BoundedPermutation, SeriesSpec, flat_sum,
-                              geom, harmonic_series, parse_series,
+from hyperline.extsum import (BoundedPermutation, SeriesSpec, alternating,
+                              flat_sum, geom, harmonic_series, parse_series,
                               partial_sums, pser, rearranged,
                               rearranged_flat_sum, scalar_mul_flat,
                               split_parts, upper_lower_limit, upper_lower_sum)
-from hyperline.errors import NotConvergentAtDepth
-from hyperline.seqfield import Verdict, classify, make, shadow
+from hyperline.errors import NotConvergentAtDepth, UnlimitedValue
+from hyperline.intervals import Interval, grid_bits
+from hyperline.seqfield import ClassTag, Verdict, classify, make, shadow
 from hyperline.wattenberg import (dd_add, dd_eq, dd_neg, dd_scalar_mul, embed,
                                   eps_d, idem_eq, wst)
 
@@ -78,7 +79,7 @@ class TestPartialSums:
                     read(9)
         assert sums.prefix(5) == [F(n + 1, 2) for n in range(5)]
         assert [sums.bracket(n, 3) for n in range(5)] == \
-            [(4 * (n + 1), 5 * (n + 1)) for n in range(5)]
+            [(4 * (n + 1), 5 * (n + 1), n) for n in range(5)]
 
 
 class TestFlatSum:
@@ -132,6 +133,13 @@ class TestFlatSum:
         bound = lambda k: F(1) if k == 10 else F(1, 2 ** k)
         spec = SeriesSpec(lambda n: F(1, 2 ** (n + 1)), "nonneg", bound, "bumpy")
         with pytest.raises(ValueError, match="not nonincreasing"):
+            flat_sum(spec)
+
+    def test_refuses_a_negative_tail_bound(self):
+        # it used to end in "empty interval [7/4, 0]"
+        spec = SeriesSpec(lambda n: F(1, 2 ** (n + 1)), "nonneg", lambda k: F(-1),
+                          "below-zero")
+        with pytest.raises(ValueError, match="^below-zero: tail bound is negative$"):
             flat_sum(spec)
 
     def test_divergent_keeps_exact_embed(self):
@@ -280,7 +288,7 @@ class TestRearrangement:
             assert tail <= moved.tail_bound(k)
         sums = partial_sums(moved)
         for n in (150, 250):
-            lo, hi = sums.bracket(n, 13)
+            lo, hi, _ = sums.bracket(n, 13)
             assert lo <= sums.at(n) * 2 ** 13 <= hi
 
     def test_invalid_permutation_rejected(self):
@@ -383,6 +391,116 @@ def flat_h(text):
     return flat_sum(parse_series(text)).value.h
 
 
+def _tag_of(p, q, probes):
+    p = abs(p)
+    if p * probes < q:
+        return ClassTag.INFINITESIMAL
+    if p > probes * q:
+        return ClassTag.UNLIMITED
+    return ClassTag.APPRECIABLE
+
+
+def linear_classify(h, depth, probes, scale):
+    """The bracketed classify scan at every index of [depth//2, depth],
+    ignoring run starts and monotonicity."""
+    one = 1 << scale
+
+    def tag_at(n):
+        lo, hi, _ = h.bracket(n, scale)
+        tag = _tag_of(max(lo, -hi, 0), one, probes)
+        if tag is _tag_of(max(-lo, hi), one, probes):
+            return tag
+        value = h.at(n)
+        return _tag_of(value.numerator, value.denominator, probes)
+
+    tag = tag_at(depth)
+    for n in range(depth - 1, depth // 2 - 1, -1):
+        if tag_at(n) is not tag:
+            return ClassTag.UNDETERMINED
+    return tag
+
+
+def linear_shadow(h, tolerance, depth):
+    """The bracketed shadow scan at every index from depth down."""
+    k = grid_bits(tolerance / 8)
+    fine = k + depth.bit_length() + 3
+    if linear_classify(h, depth, sf.DEFAULT_PROBES, fine) is ClassTag.UNLIMITED:
+        raise UnlimitedValue("unlimited")
+    max_spread = (tolerance.numerator << k) // (2 * tolerance.denominator)
+
+    def cell(n):
+        lo, hi, _ = h.bracket(n, fine)
+        return lo >> (fine - k), -(-hi >> (fine - k))
+
+    lo, hi = cell(depth)
+    w = depth
+    for n in range(depth - 1, -1, -1):
+        cell_lo, cell_hi = cell(n)
+        new_lo, new_hi = min(lo, cell_lo), max(hi, cell_hi)
+        if new_hi - new_lo > max_spread:
+            break
+        lo, hi, w = new_lo, new_hi, n
+    if 2 * w > depth:
+        raise NotConvergentAtDepth("no window")
+    return Interval(F(hi, 1 << k) - tolerance, F(lo, 1 << k) + tolerance)
+
+
+def _outcome(scan, *args):
+    try:
+        return scan(*args)
+    except (UnlimitedValue, NotConvergentAtDepth) as exc:
+        return type(exc)
+
+
+def _finite(xs, pattern):
+    """The series xs[0] + xs[1] + ... with zeros after, and its exact tail."""
+    return SeriesSpec(lambda n: xs[n] if n < len(xs) else F(0), pattern,
+                      lambda k: sum((abs(x) for x in xs[k + 1:]), F(0)), "finite")
+
+
+_ratios = st.fractions(min_value=0, max_value=F(15, 16), max_denominator=64)
+_sizes = st.sampled_from([F(1, 1000), F(1), F(5), F(100)])
+
+
+@st.composite
+def scanned_sums(draw):
+    """Partial sums as flat_sum builds them: one-signed series with or
+    without a tail bound (nonpositive ones with zero terms), and split
+    series through their two halves."""
+    kind = draw(st.sampled_from(["nonneg", "nonpos", "split"]))
+    if kind == "split":
+        r = draw(_ratios)
+        spec = draw(st.sampled_from([
+            geom(-r), alternating(geom(r)), alternating(pser(2)),
+            parse_series("alt(pser(3))"), alternating_geometric(),
+            _finite(draw(st.lists(st.fractions(-4, 4, max_denominator=16),
+                                  max_size=40)), "split")]))
+        plus, minus = split_parts(spec)
+        return partial_sums(plus) + partial_sums(minus)
+    sign = 1 if kind == "nonneg" else -1
+    size = draw(_sizes)
+    if draw(st.booleans()):
+        # size * c_n * r^(n+1) with c_n in [0, 1], some zero; r = 1 diverges
+        r = draw(st.one_of(_ratios, st.just(F(1))))
+        coeffs = draw(st.lists(st.sampled_from([F(0), F(1, 3), F(1, 2), F(1)]),
+                               min_size=1, max_size=5))
+        bound = None
+        if r < 1 and draw(st.booleans()):
+            bound = lambda k: size * r ** (k + 2) / (1 - r)
+        spec = SeriesSpec(lambda n: sign * size * coeffs[n % len(coeffs)] * r ** (n + 1),
+                          kind, bound, "random")
+    elif sign > 0:
+        xs = draw(st.lists(st.sampled_from([F(0), F(0), F(1, 3), size]), max_size=200))
+        spec = draw(st.sampled_from([
+            pser(2), parse_series("powers_recip"), geom(draw(_ratios)),
+            rearranged(geom(draw(_ratios)), _block_permutation(4, seed=3)),
+            _finite(xs, "nonneg")]))
+    else:
+        xs = draw(st.lists(st.sampled_from([F(0), F(0), F(-1, 3), -size]), max_size=200))
+        spec = _finite(xs, "nonpos")
+    return partial_sums(spec)
+
+
 class TestBrackets:
     """The partial sums' dyadic brackets and the scans that read them."""
 
@@ -392,13 +510,24 @@ class TestBrackets:
     def test_bracket_holds(self, first, second, n, k):
         a, b = flat_h(first), flat_h(second)
         for c in (a, b, a + b, a - b):
-            lo, hi = c.bracket(n, k)
+            lo, hi, _ = c.bracket(n, k)
             assert lo <= c.at(n) * 2 ** k <= hi
+
+    @given(first=series_names, second=series_names, n=st.integers(0, 300),
+           k=st.integers(0, 80))
+    @settings(deadline=None)
+    def test_bracket_runs_hold(self, first, second, n, k):
+        # every index of [start, n] has the bracket read at n
+        a, b = flat_h(first), flat_h(second)
+        for c in (a, b, a + b, a - b):
+            lo, hi, start = c.bracket(n, k)
+            assert 0 <= start <= n
+            assert all(c.bracket(m, k)[:2] == (lo, hi) for m in range(start, n))
 
     def test_partial_sum_bracket_width(self):
         sums = partial_sums(pser(2))
         for n in (0, 5, 99):
-            lo, hi = sums.bracket(n, 40)
+            lo, hi, _ = sums.bracket(n, 40)
             assert hi - lo == n + 1
 
     def test_bracket_tables_are_race_free(self):
@@ -425,9 +554,9 @@ class TestBrackets:
         # the first checked index past it is 32
         sums = partial_sums(geom(F(1, 3)))
         low = sum((F(1, 3) ** (j + 1) * 2 ** 40).__floor__() for j in range(33))
-        assert sums.bracket(32, 40) == (low, low + 33)
+        assert sums.bracket(32, 40) == (low, low + 33, 32)
         for n in (33, 100, 2048):
-            assert sums.bracket(n, 40) == (low, low + 34)
+            assert sums.bracket(n, 40) == (low, low + 34, 33)
             assert low <= sums.at(n) * 2 ** 40 <= low + 34
 
     def test_freeze_needs_a_tail_below_one_unit(self):
@@ -435,7 +564,7 @@ class TestBrackets:
         # below it, so the table runs on to the next checked index, 8
         sums = partial_sums(geom(F(1, 2)))
         for n, width in ((4, 5), (8, 9), (9, 10), (600, 10)):
-            lo, hi = sums.bracket(n, 5)
+            lo, hi, _ = sums.bracket(n, 5)
             assert hi - lo == width
 
     def test_negative_half_freezes_one_unit_lower(self):
@@ -444,9 +573,9 @@ class TestBrackets:
         _, minus = split_parts(geom(F(-1, 3)))
         sums = partial_sums(minus)
         low = sum((-F(1, 3) ** (2 * j + 1) * 2 ** 40).__floor__() for j in range(17))
-        assert sums.bracket(16, 40) == (low, low + 17)
+        assert sums.bracket(16, 40) == (low, low + 17, 16)
         for n in (17, 100, 2048):
-            assert sums.bracket(n, 40) == (low - 1, low + 17)
+            assert sums.bracket(n, 40) == (low - 1, low + 17, 17)
             assert low - 1 <= sums.at(n) * 2 ** 40 <= low + 17
 
     def test_cut_off_floors_few_terms(self):
@@ -474,9 +603,9 @@ class TestBrackets:
         fine = depth.bit_length() + 3
         assert spec.tail_bound(depth) >= F(1, 2 ** fine)
         sums = partial_sums(spec)
-        lo, hi = sums.bracket(depth, fine)
+        lo, hi, _ = sums.bracket(depth, fine)
         assert hi - lo == depth + 1
-        lo, hi = sums.bracket(depth, 2)  # a coarse scale does freeze
+        lo, hi, _ = sums.bracket(depth, 2)  # a coarse scale does freeze
         assert hi - lo < depth + 1
 
     @given(name=series_names, depth=st.integers(1, 200),
@@ -507,6 +636,68 @@ class TestBrackets:
             k += 1
         for end in (interval.lo, interval.hi):
             assert (tolerance.denominator << k) % end.denominator == 0
+
+    @given(h=scanned_sums(), depth=st.integers(1, 300),
+           probes=st.sampled_from([1, 3, 64, 4096]),
+           tolerance=st.fractions(min_value=F(1, 10 ** 9), max_value=2,
+                                  max_denominator=10 ** 9))
+    @settings(deadline=None)
+    def test_skipping_scans_match_the_linear_scan(self, h, depth, probes, tolerance):
+        # runs crossed in one step and bisection find what reading every
+        # index finds: the same tag, interval or exception
+        scale = probes.bit_length() + depth.bit_length() + 8
+        assert classify(h, depth, probes) is linear_classify(h, depth, probes, scale)
+        assert _outcome(shadow, h, tolerance, depth) == \
+            _outcome(linear_shadow, h, tolerance, depth)
+
+    def test_classify_reads_two_brackets_of_a_nonnegative_sum(self):
+        sums = partial_sums(geom(F(1, 3)))
+        reads, bracket = [], sums.bracket
+
+        def counted(n, k):
+            reads.append(n)
+            return bracket(n, k)
+
+        def unreadable(n):
+            pytest.fail(f"exact value read at index {n}")
+
+        sums.bracket, sums.gen = counted, unreadable
+        assert classify(sums, 2048) is ClassTag.APPRECIABLE
+        assert len(reads) <= 2
+
+    def test_monotone_classify_reads_below_a_late_run(self):
+        # the sum crosses the 1/64 probe at index 60 and freezes at 64, so
+        # the run [65, 100] does not cover the window [50, 100]
+        spec = _finite([F(0)] * 60 + [F(1, 32)], "nonneg")
+        assert classify(partial_sums(spec), 100) is ClassTag.UNDETERMINED
+        assert classify(partial_sums(spec), 128) is ClassTag.APPRECIABLE
+
+    def test_shadow_bisects_powers_recip(self):
+        # its table never freezes at scan scales, but its sums are monotone
+        depth, tolerance = 4096, F(1, 200)
+        sums = flat_h("powers_recip")
+        reads, bracket = [], sums.bracket
+
+        def counted(n, k):
+            reads.append(n)
+            return bracket(n, k)
+
+        sums.bracket = counted
+        interval = shadow(sums, tolerance, depth)
+        assert len(reads) <= 2 * depth.bit_length() + 2
+        assert interval == linear_shadow(sums, tolerance, depth) == \
+            Interval(F(199, 200), F(51331, 51200))
+
+    def test_only_nonnegative_sums_are_monotone(self):
+        # a zero term of a nonpositive series raises the upper bracket end
+        nonpos = partial_sums(SeriesSpec(lambda n: F(-1) if n == 0 else F(0),
+                                         "nonpos", None, "zeros"))
+        assert not nonpos.monotone
+        assert [nonpos.bracket(n, 0)[1] for n in range(3)] == [0, 1, 2]
+        plus, minus = split_parts(geom(F(-1, 3)))
+        assert partial_sums(plus).monotone and not partial_sums(minus).monotone
+        assert partial_sums(pser(2)).monotone
+        assert not (partial_sums(pser(2)) + partial_sums(pser(3))).monotone
 
     @pytest.mark.parametrize("name,limit", [("geom(1/3)", F(1, 2)),
                                             ("alt(geom(1/2))", F(1, 3)),

@@ -131,6 +131,16 @@ class TestHermiteIntegers:
         for k in range(1, n + 1):
             assert hermite_M(n, p, k) % p == 0
 
+    def test_divisibility_in_closed_form(self):
+        # hermite_Ms' docstring: M_k = 0 and M_0 = (-1)^n n! (mod p), at all
+        # 204 pairs with n <= 6 and p < 140, primes p <= n included
+        cases = [(n, p) for n in range(1, 7) for p in sympy.primerange(2, 140)]
+        assert len(cases) == 204
+        for n, p in cases:
+            m_values = hermite_Ms(n, p)
+            assert m_values[0] % p == (-1) ** n * factorial(n) % p
+            assert all(m % p == 0 for m in m_values[1:])
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
     def test_all_shifts_match_symbolic_oracle(self, n, p):

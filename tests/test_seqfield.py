@@ -307,12 +307,12 @@ class TestShadowSoundness:
 
 def _bracketed(values, widen):
     """The sequence ``values`` with a bracket that is the exact cell at scale
-    ``k`` widened by ``widen(n)`` units on each side."""
+    ``k`` widened by ``widen(n)`` units on each side, each index its own run."""
     def bracket(n, k):
         v = values(n)
         m = (v.numerator << k) // v.denominator
         below, above = widen(n)
-        return m - below, m + 1 + above
+        return m - below, m + 1 + above, n
 
     return sf.Hyperreal(values, bracket=bracket)
 
@@ -331,7 +331,7 @@ class TestBrackets:
         b = _bracketed(lambda n: ys[n % len(ys)], lambda n: widen[-1 - n % len(widen)])
         for c in (a + b, a - b, b - a, a + b - a):
             for n in range(8):
-                lo, hi = c.bracket(n, k)
+                lo, hi, _ = c.bracket(n, k)
                 assert lo <= c.at(n) * 2 ** k <= hi
 
     def test_unbracketed_operand_drops_the_bracket(self):
@@ -360,6 +360,16 @@ class TestBrackets:
         a = _bracketed(lambda n: value, lambda n: (1, 1))
         a.gen = unreadable
         assert classify(a, 64) is tag
+
+    def test_exact_fallback_decides_its_index_alone(self):
+        # one bracket over every index, across the 1/64 probe, so each index
+        # reads its exact value, and those change tag at index 50
+        def bracket(n, k):
+            return (1 << k) // 200, -(-(1 << k) // 5), 0
+
+        a = sf.Hyperreal(lambda n: F(1, 100) if n < 50 else F(1, 10), bracket=bracket)
+        assert classify(a, 80) is ClassTag.UNDETERMINED
+        assert classify(a, 100) is ClassTag.APPRECIABLE
 
     @given(limit=st.fractions(min_value=-10, max_value=10, max_denominator=1000),
            scale=st.fractions(min_value=-5, max_value=5, max_denominator=50),
