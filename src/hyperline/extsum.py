@@ -61,7 +61,8 @@ class SeriesSpec:
     all the same, so ``classify`` reads its window's two ends and
     ``shadow`` bisects (see ``partial_sums``).
     A split series whose bound holds only for the signed tail breaks the
-    contract.
+    contract.  Terms and tail bounds are exact: a float is refused with
+    ``TypeError`` naming its index.
     """
     term: Callable[[int], Fraction]
     pattern: str
@@ -75,7 +76,7 @@ class SeriesSpec:
     def term_at(self, n: int) -> Fraction:
         value = self.term(n)
         if type(value) is not Fraction:
-            value = Fraction(value)
+            value = sf.exact_rational(value, f"{self.label}: term", n)
         if self.pattern == NONNEG and value.numerator < 0:
             raise ValueError(f"{self.label}: negative term at index {n}")
         if self.pattern == NONPOS and value.numerator > 0:
@@ -158,6 +159,7 @@ def partial_sums(spec: SeriesSpec) -> Hyperreal:
     scales: dict = {}
     bound = None if spec.pattern == SPLIT else spec.tail_bound
     below = 1 if spec.pattern == NONPOS else 0
+    tail = f"{spec.label}: tail bound"
     lock = threading.Lock()
 
     def bracket(n: int, k: int):
@@ -174,7 +176,7 @@ def partial_sums(spec: SeriesSpec) -> Hyperreal:
                 unit = Fraction(1, 1 << k)
                 while scale[2] is None and scale[1] <= n:
                     i = scale[1]
-                    if 0 <= Fraction(bound(i)) < unit:
+                    if 0 <= sf.exact_rational(bound(i), tail, i) < unit:
                         lo = table(i) - below
                         scale[2] = (i, (lo, lo + i + 2, i + 1))
                     else:
@@ -217,6 +219,7 @@ def split_parts(spec: SeriesSpec):
     cursor = [0]      # the next index to read; None once the rest is certified 0
     lock = threading.Lock()
     bound = spec.tail_bound
+    tail = f"{spec.label}: tail bound"
 
     def entry(negative: bool, j: int):
         mine = filed[negative]
@@ -227,7 +230,8 @@ def split_parts(spec: SeriesSpec):
                 n = cursor[0]
                 value = spec.term_at(n)
                 filed[value.numerator < 0].append((n, value))
-                ended = not value and bound is not None and bound(n) == 0
+                ended = not value and bound is not None and \
+                    sf.exact_rational(bound(n), tail, n) == 0
                 cursor[0] = None if ended else n + 1
         return mine[j] if j < len(mine) else None
 
@@ -259,7 +263,8 @@ def _eta_interval(spec: SeriesSpec, eta_terms: int) -> Interval:
     rises beyond them is not detected.
     """
     partial = sum((spec.term_at(n) for n in range(eta_terms)), Fraction(0))
-    bounds = [Fraction(spec.tail_bound(n)) for n in range(eta_terms)]
+    tail = f"{spec.label}: tail bound"
+    bounds = [sf.exact_rational(spec.tail_bound(n), tail, n) for n in range(eta_terms)]
     if any(later > earlier for earlier, later in zip(bounds, bounds[1:])):
         raise ValueError(f"{spec.label}: tail bound is not nonincreasing")
     slack = bounds[-1]
@@ -338,7 +343,7 @@ def upper_lower_limit(a, tail_bound=None, depth: int = DEFAULT_DEPTH):
         raise ConvergenceUnknown("no certificate and not eventually constant")
     for k in (0, depth // 2):
         # |a(depth) - a(k)| <= c(k) + c(depth) <= 2 c(k) for a real certificate
-        if abs(a.at(depth) - a.at(k)) > 2 * Fraction(tail_bound(k)):
+        if abs(a.at(depth) - a.at(k)) > 2 * sf.exact_rational(tail_bound(k), "tail bound", k):
             raise ValueError(
                 f"certificate inconsistent with the inspected prefix at {k}")
     upper = DedekindNumber(a, 1, EPS_IDEM)

@@ -13,13 +13,17 @@ alone.  The results of ``+ - *``, negation, ``abs``, ``tilde_inv`` and
 ``constant`` are views: they keep no memo and read their operands at the
 same index, so a scan evaluates only the indices its verdict reads.
 
-Scans read integer pairs, not fractions.  ``pair(n)`` is ``(p, q)`` with
-``q > 0`` and ``a(n) = p/q``, not necessarily reduced: a leaf gives its
-memoized value's numerator and denominator, and a view cross-multiplies its
-operands' pairs (fraction-free evaluation; Knuth, TAOCP vol. 2, 4.5.1).  A
-verdict needs only signs and comparisons with the probe bounds, which
-cross-multiplication gives exactly, so no gcd is taken on a scan; a value is
-normalised only when ``at`` returns it as a ``Fraction``.
+Scans read integer pairs, not fractions.  Each sequence's ``pair`` is its
+pair evaluator: ``pair(n)`` is ``(p, q)`` with ``q > 0`` and ``a(n) = p/q``,
+not necessarily reduced.  A leaf's memo holds the reduced pair of each term
+(``as_integer_ratio``), so a memo hit is one dict read; a view's ``pair`` is
+the function that cross-multiplies its operands' pairs (fraction-free
+evaluation; Knuth, TAOCP vol. 2, 4.5.1), holding their evaluators rather
+than the operands, so each view costs one call per index.  A verdict needs
+only signs and comparisons with the probe bounds, which cross-multiplication
+gives exactly, so no gcd is taken on a scan; a value is normalised only when
+``at`` returns it as a ``Fraction``.  Leaf terms and constants must be
+exact: ``exact_rational`` refuses a float with ``TypeError``.
 
 A sequence may carry a closed *monomial form* ``(c, e)``: ``a(n) =
 c * (n+1)^e`` at every ``n >= 0``, with ``e = 0`` whenever ``c = 0``.
@@ -150,49 +154,103 @@ def _combine_forms(fa: Optional[Form], fb: Optional[Form], op, symbol) -> Option
     return _monomial(op(ca, cb), ea) if ea == eb else None
 
 
+def exact_rational(value, what: str, index: Optional[int] = None) -> Fraction:
+    """``value`` as a ``Fraction``.  A float is refused with ``TypeError``
+    naming ``what`` and the index, if any: its binary value is not the
+    decimal it prints as, and no float enters a verdict."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, float):
+        where = "" if index is None else f" at index {index}"
+        raise TypeError(f"{what} {value!r}{where} is a float: "
+                        "pass an int, a Fraction or a string")
+    return Fraction(value)
+
+
+def _coprime_fraction(p: int, q: int) -> Fraction:
+    """``Fraction(p, q)`` for a leaf's memoized pair, which is reduced with
+    ``q > 0``, without the constructor's gcd: on a partial sum's pair of
+    thousands of digits that gcd costs more than the sum did."""
+    value = object.__new__(Fraction)
+    value._numerator, value._denominator = p, q
+    return value
+
+
+def _rational_term_pair(value, n: int) -> Pair:
+    """A leaf's term as its reduced pair."""
+    if type(value) is not Fraction and type(value) is not int:
+        value = exact_rational(value, "term", n)
+    return value.as_integer_ratio()
+
+
+def _integer_term_pair(value, n: int) -> Pair:
+    """A hyperinteger leaf's term as its pair ``(v, 1)``."""
+    if not isinstance(value, int):
+        raise TypeError(f"non-integer term {value!r} at index {n}")
+    return int(value), 1
+
+
 class Hyperreal:
     """Lazy exact-rational sequence; the computable face of a hyperreal.
 
-    ``Hyperreal(gen)`` is a leaf: its values are memoized by index below
-    ``_CACHE_LIMIT``, so ``gen(n)`` runs once per index there (two threads
-    racing on one index may both run it).  A view's ``gen`` is its pair
-    evaluator instead (see the module docstring).  ``form`` is the
-    monomial form or None (see the module docstring).  ``const_value`` is the
-    value of a sequence built by ``constant`` (whose label is that value) and
-    None otherwise; ``shadow`` takes it as an exact point.  ``bracket``, when
-    set, maps ``(n, k)`` to integers ``(lo, hi, start)`` with
-    ``lo <= a(n) * 2^k <= hi`` and the same ``(lo, hi)`` at every index of
-    ``[start, n]``; ``monotone`` marks a bracketed sequence whose values and
-    bracket ends are nondecreasing, values ``>= 0`` (see the module
-    docstring).
+    ``pair`` is the sequence's pair evaluator: ``pair(n)`` is ``(p, q)``
+    with ``q > 0`` and ``a(n) = p/q`` (see the module docstring), and ``at``
+    normalises it to a ``Fraction``.  ``Hyperreal(gen)`` is a leaf: its
+    ``pair`` reads a memo of reduced pairs keyed by index, and below
+    ``_CACHE_LIMIT`` runs ``gen(n)`` once per index (two threads racing on
+    one index may both run it).  A view's ``gen`` is its pair evaluator and
+    its ``pair`` itself.  Setting ``gen`` installs the matching ``pair``.
+    ``form`` is the monomial form or None (see the module docstring).
+    ``const_value`` is the value of a sequence built by ``constant`` (whose
+    label is that value) and None otherwise; ``shadow`` takes it as an exact
+    point.  ``bracket``, when set, maps ``(n, k)`` to integers ``(lo, hi,
+    start)`` with ``lo <= a(n) * 2^k <= hi`` and the same ``(lo, hi)`` at
+    every index of ``[start, n]``; ``monotone`` marks a bracketed sequence
+    whose values and bracket ends are nondecreasing, values ``>= 0`` (see
+    the module docstring).
     """
 
-    __slots__ = ("gen", "form", "const_value", "label", "bracket", "monotone",
-                 "_cache")
+    __slots__ = ("pair", "_gen", "form", "const_value", "label", "bracket",
+                 "monotone", "_cache")
 
     def __init__(self, gen: Callable[[int], Fraction], label="<seq>",
                  bracket: Optional[Callable[[int, int], Tuple[int, int, int]]] = None):
-        self.gen = gen
         self.form: Optional[Form] = None
         self.const_value: Optional[Fraction] = None
         self.label = label
         self.bracket = bracket
         self.monotone = False
         self._cache = {}
+        self.gen = gen
 
     @classmethod
     def _view(cls, pair_gen: Callable[[int], Pair], label, form: Optional[Form] = None,
               bracket=None) -> "Hyperreal":
-        """A memo-free sequence whose ``gen`` is its pair evaluator:
-        ``pair(n)`` calls ``pair_gen(n)`` every time."""
+        """A memo-free sequence whose pair evaluator is ``pair_gen``."""
         h = cls(pair_gen, label, bracket)
         h.form = form
         h._cache = _NO_MEMO
+        h.gen = pair_gen  # reinstalled without the memo: pair is pair_gen
         return h
+
+    @property
+    def gen(self):
+        return self._gen
+
+    @gen.setter
+    def gen(self, gen):
+        # the leaf's evaluator holds its memo and generator, not the leaf, so
+        # a dropped leaf is freed without the cycle collector
+        self._gen = gen
+        memo, term_pair = self._cache, self._term_pair
+        self.pair = gen if memo is _NO_MEMO else \
+            _memoized(lambda n: term_pair(gen(n), n), memo)
+
+    _term_pair = staticmethod(_rational_term_pair)
 
     @classmethod
     def constant(cls, q) -> "Hyperreal":
-        q = Fraction(q)
+        q = exact_rational(q, "constant")
         pq = (q.numerator, q.denominator)
         h = cls._view(lambda n: pq, str(q), _monomial(q, 0))
         h.const_value = q
@@ -202,25 +260,8 @@ class Hyperreal:
         """The exact value ``a(n)``, normalised."""
         if n < 0:
             raise IndexError(n)
-        cache = self._cache
-        if cache is _NO_MEMO:
-            return Fraction(*self.gen(n))
-        return _memo_read(cache, self._leaf_value, n)
-
-    def pair(self, n: int) -> Pair:
-        """``a(n)`` as integers ``(p, q)``, ``q > 0``, ``p/q`` not necessarily
-        reduced.  A leaf reads its memo, and evaluates a miss through ``at``."""
-        cache = self._cache
-        if cache is _NO_MEMO:
-            return self.gen(n)
-        value = cache.get(n)
-        if value is None:
-            value = self.at(n)
-        return value.numerator, value.denominator
-
-    def _leaf_value(self, n: int) -> Fraction:
-        value = self.gen(n)
-        return value if type(value) is Fraction else Fraction(value)
+        p, q = self.pair(n)
+        return Fraction(p, q) if self._cache is _NO_MEMO else _coprime_fraction(p, q)
 
     def prefix(self, count: int) -> list:
         return [self.at(i) for i in range(count)]
@@ -266,22 +307,33 @@ class Hyperreal:
 
     __rmul__ = __mul__
 
-    def _pointwise(self, fn, label, form_map):
-        """The view whose pair is ``fn(p, q)`` of this one's, its form mapped
-        by ``form_map(c, e)``; a constant stays a constant."""
+    def _pointwise(self, pair_gen, label, form_map):
+        """The view with pair evaluator ``pair_gen``, a map of this one's
+        pairs, its form mapped by ``form_map(c, e)``; a constant stays a
+        constant."""
         form = self.form and _monomial(*form_map(*self.form))
         if self.const_value is not None:
             return Hyperreal.constant(form[0])
-        return Hyperreal._view(lambda n, pa=self.pair: fn(*pa(n)), label, form)
+        return Hyperreal._view(pair_gen, label, form)
 
     def __neg__(self):
-        return self._pointwise(lambda p, q: (-p, q), f"(-{self.label})",
-                               lambda c, e: (-c, e))
+        pa = self.pair
+
+        def gen(n):
+            p, q = pa(n)
+            return -p, q
+
+        return self._pointwise(gen, f"(-{self.label})", lambda c, e: (-c, e))
 
     def __abs__(self):
+        pa = self.pair
+
+        def gen(n):
+            p, q = pa(n)
+            return abs(p), q
+
         # (n+1)^e > 0, so |c (n+1)^e| = |c| (n+1)^e
-        return self._pointwise(lambda p, q: (abs(p), q), f"|{self.label}|",
-                               lambda c, e: (abs(c), e))
+        return self._pointwise(gen, f"|{self.label}|", lambda c, e: (abs(c), e))
 
     def tilde_inv(self) -> "Hyperreal":
         """Total pseudo-inverse: zero terms map to zero, others to 1/x.
@@ -289,34 +341,40 @@ class Hyperreal:
         A form with ``c != 0`` has no zero term, and ``1 / (c (n+1)^e) =
         (1/c) (n+1)^-e``; the zero form maps to itself.
         """
-        return self._pointwise(_inverse_pair, f"~{self.label}",
+        pa = self.pair
+
+        def gen(n):  # the pair of q/p, the sign kept in the numerator
+            p, q = pa(n)
+            if p > 0:
+                return q, p
+            return (-q, -p) if p else (0, 1)
+
+        return self._pointwise(gen, f"~{self.label}",
                                lambda c, e: (_pseudo_inverse(c), -e))
 
     def __repr__(self):
         return f"{type(self).__name__}({self.label})"
 
 
-def _memo_read(memo: dict, fn: Callable[[int], object], n: int):
-    """``fn(n)`` through a leaf memo keyed by index; only indices below
-    ``_CACHE_LIMIT`` are stored, so very deep scans do not pin memory."""
-    value = memo.get(n)
-    if value is None:
-        value = fn(n)
-        if n < _CACHE_LIMIT:
-            memo[n] = value
-    return value
+def _memoized(fn: Callable[[int], object], memo: dict) -> Callable[[int], object]:
+    """``fn`` read through ``memo``, keyed by index: a hit is one dict read.
+    Only indices below ``_CACHE_LIMIT`` are stored, so very deep scans do
+    not pin memory; a negative index raises ``IndexError``."""
+    def read(n):
+        value = memo.get(n)
+        if value is None:
+            if n < 0:
+                raise IndexError(n)
+            value = fn(n)
+            if n < _CACHE_LIMIT:
+                memo[n] = value
+        return value
+
+    return read
 
 
 def _pseudo_inverse(x: Fraction) -> Fraction:
     return 1 / x if x else x
-
-
-def _inverse_pair(p: int, q: int) -> Pair:
-    """The pair of ``q/p`` with the sign kept in the numerator; ``(0, 1)``
-    for zero."""
-    if p > 0:
-        return q, p
-    return (-q, -p) if p else (0, 1)
 
 
 def _pair_op(symbol, pa, pb) -> Callable[[int], Pair]:
@@ -366,26 +424,22 @@ class Hyperinteger(Hyperreal):
     """Lazy exact-integer sequence: a `Hyperreal` whose terms are integers.
 
     A leaf checks each term is an ``int``, and ``at`` returns an ``int``;
-    its views carry pairs ``(v, 1)``.
+    its pairs, and its views', are ``(v, 1)``.
     """
 
     __slots__ = ()
+
+    _term_pair = staticmethod(_integer_term_pair)
 
     def __init__(self, gen: Callable[[int], int], label="<iseq>", bracket=None):
         super().__init__(gen, label, bracket)
 
     @classmethod
     def constant(cls, v) -> "Hyperinteger":
-        return super().constant(int(v))
+        return super().constant(int(exact_rational(v, "constant")))
 
     def at(self, n: int) -> int:
         return int(super().at(n))
-
-    def _leaf_value(self, n: int) -> int:
-        value = self.gen(n)
-        if not isinstance(value, int):
-            raise TypeError(f"non-integer term {value!r} at index {n}")
-        return value
 
 
 # The canonical named sequences.  Shared leaves, so their memos are reused.
@@ -726,10 +780,7 @@ def gcd_bezout(a: Hyperinteger, d: Hyperinteger):
 
     One memoized triple per index; g, s and t are views of it.
     """
-    memo: dict = {}
-
-    def triple(n):
-        return _memo_read(memo, lambda i: _xgcd(a.at(i), d.at(i)), n)
+    triple = _memoized(lambda n: _xgcd(a.at(n), d.at(n)), {})
 
     return (Hyperinteger._view(lambda n: (triple(n)[0], 1), f"gcd({a.label},{d.label})"),
             Hyperinteger._view(lambda n: (triple(n)[1], 1), "bezout-s"),

@@ -142,6 +142,41 @@ class TestFlatSum:
         with pytest.raises(ValueError, match="^below-zero: tail bound is negative$"):
             flat_sum(spec)
 
+    def test_refuses_a_float_term(self):
+        # 0.5 ** (n + 1) is exact in binary, but a float is refused all the same
+        spec = SeriesSpec(lambda n: 0.5 ** (n + 1), "nonneg",
+                          lambda k: F(1, 2 ** (k + 1)), "halves")
+        with pytest.raises(TypeError, match="^halves: term 0.5 at index 0 is a float"):
+            spec.term_at(0)
+        with pytest.raises(TypeError, match="halves: term"):
+            flat_sum(spec)
+        assert SeriesSpec(lambda n: n, "nonneg").term_at(3) == 3
+
+    def test_eta_interval_refuses_a_float_tail_bound(self):
+        bound = lambda k: F(1, 2 ** (k + 1)) if k < 5 else 0.5 ** (k + 1)
+        spec = SeriesSpec(lambda n: F(1, 2 ** (n + 1)), "nonneg", bound, "halves")
+        with pytest.raises(TypeError, match="^halves: tail bound .* at index 5 is a float"):
+            flat_sum(spec)
+
+    def test_partial_sums_refuse_a_float_tail_bound(self):
+        # the freeze check reads the bound at 1, 2, 4, ...: scale 2 freezes
+        # at 2, before the float, and scale 20 reaches it
+        bound = lambda k: F(1, 2 ** (k + 1)) if k < 4 else 0.5 ** (k + 1)
+        sums = partial_sums(SeriesSpec(lambda n: F(1, 2 ** (n + 1)), "nonneg", bound,
+                                       "halves"))
+        assert sums.bracket(6, 2) == (3, 7, 3)
+        with pytest.raises(TypeError, match="tail bound .* at index 4 is a float"):
+            sums.bracket(6, 20)
+
+    def test_split_parts_refuse_a_float_tail_bound(self):
+        # a zero term reads the bound, to see whether every later term is 0
+        spec = SeriesSpec(lambda n: F(0) if n == 2 else F(-1, 2) ** n, "split",
+                          lambda k: 0.0 if k == 2 else F(1, 2 ** k), "gap")
+        plus, minus = split_parts(spec)
+        assert plus.term_at(0) == 1
+        with pytest.raises(TypeError, match="^gap: tail bound 0.0 at index 2 is a float"):
+            plus.term_at(2)
+
     def test_divergent_keeps_exact_embed(self):
         result = flat_sum(ONES)
         assert result.divergent
@@ -234,6 +269,10 @@ class TestUpperLowerLimits:
         with pytest.raises(ValueError):
             upper_lower_limit(make(lambda n: F(n % 7)),
                               tail_bound=lambda k: F(1, k + 1))
+
+    def test_float_certificate_rejected(self):
+        with pytest.raises(TypeError, match="tail bound 1.0 at index 0 is a float"):
+            upper_lower_limit(sf.RECIPROCAL_SUCC, tail_bound=lambda k: 1 / (k + 1), depth=64)
 
 
 def _block_permutation(block: int, seed: int) -> BoundedPermutation:

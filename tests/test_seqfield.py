@@ -44,6 +44,34 @@ class TestConstruction:
         assert a.const_value is None
 
 
+class TestExactInputs:
+    """A float is not the rational it prints as, so none enters a verdict."""
+
+    def test_leaf_refuses_a_float_term(self):
+        a = make(lambda n: 0.1 * (n + 1))
+        with pytest.raises(TypeError, match="at index 8 is a float"):
+            compare(a, F(3, 10), 8)
+        exact = make(lambda n: F(n + 1, 10))
+        assert compare(exact, F(3, 10), 8) == sf.CompareResult(Verdict.GREATER, 3)
+
+    def test_constant_refuses_a_float(self):
+        with pytest.raises(TypeError, match="constant 0.1 is a float"):
+            sf.Hyperreal.constant(0.1)
+        assert sf.Hyperreal.constant(F(1, 10)).at(4) == F(1, 10)
+        assert make("1/3").at(5) == F(1, 3) and make("0.1").at(0) == F(1, 10)
+
+    def test_integer_constant_refuses_a_float(self):
+        with pytest.raises(TypeError, match="constant 2.7 is a float"):
+            sf.Hyperinteger.constant(2.7)
+        assert sf.Hyperinteger.constant(7).at(3) == 7
+        assert sf.Hyperinteger.constant(F(7, 2)).at(0) == 3
+
+    def test_int_and_fraction_terms_are_kept(self):
+        a = make(lambda n: n if n % 2 else F(n, 4))
+        assert [a.at(n) for n in range(4)] == [0, 1, F(1, 2), 3]
+        assert all(type(a.at(n)) is F for n in range(4))
+
+
 class TestArithmetic:
     def test_tilde_inverse_with_zero(self):
         a = make(lambda n: F(n))  # (0, 1, 2, 3, ...)
@@ -551,7 +579,8 @@ class TestConcurrentEvaluation:
                     future.result(timeout=120)
         finally:
             sys.setswitchinterval(interval)
-        assert leaf._cache and all(v == value(n) for n, v in leaf._cache.items())
+        assert leaf._cache and all(v == value(n).as_integer_ratio()
+                                   for n, v in leaf._cache.items())
 
 
 def reference_compare(xs, ys, depth):
@@ -689,10 +718,15 @@ class TestMemos:
         assert classify(a * 2, depth=100) is ClassTag.INFINITESIMAL
         assert sorted(calls) == list(range(50, 101))
 
-    def test_leaf_keeps_a_fraction_it_is_given(self):
-        value = F(5, 3)
-        a = make(lambda n: value)
-        assert a.at(3) is value
+    def test_leaf_memoizes_the_reduced_pair_of_its_term(self):
+        # the memo holds the term's reduced integer pair, and a hit returns
+        # that very tuple; `at` normalises it to a Fraction
+        a = make(lambda n: F(10, 6) if n == 3 else -2 * n)
+        assert a.pair(3) == (5, 3) and a.pair(3) is a._cache[3]
+        assert a.pair(4) == (-8, 1) and type(a.pair(4)[0]) is int
+        assert sorted(a._cache.items()) == [(3, (5, 3)), (4, (-8, 1))]
+        for n, value in ((3, F(5, 3)), (4, F(-8))):
+            assert type(a.at(n)) is F and a.at(n) == value
         assert type(make(lambda n: n).at(3)) is F
 
     def test_integer_leaf_refuses_a_non_integer_term(self):
@@ -736,6 +770,57 @@ view_trees = st.recursive(
     _extend, max_leaves=6)
 
 
+def _floor_node(child):
+    seq, plain = child
+    return hyper_floor(seq), lambda n: F(math.floor(plain(n)))
+
+
+def _div_rem_node(child, divisors, remainder):
+    # a nonzero divisor, so every index of the view is defined
+    (seq, plain), d = child, sf.Hyperinteger(lambda n: divisors[n % len(divisors)])
+    quotient, rest = div_rem(hyper_floor(seq), d)
+
+    def reference(n):
+        x, y = math.floor(plain(n)), divisors[n % len(divisors)]
+        r = x % abs(y)
+        return F(r) if remainder else F((x - r) // y)
+
+    return (rest if remainder else quotient), reference
+
+
+def _gcd_node(children, bezout):
+    (a, pa), (d, pd) = children
+    a, d = hyper_floor(a), hyper_floor(d)
+    g, s, t = gcd_bezout(a, d)
+    # s a + t d reads the Bezout views through + and *, and equals the gcd
+    return (s * a + t * d if bezout else g,
+            lambda n: F(math.gcd(math.floor(pa(n)), math.floor(pd(n)))))
+
+
+_nonzero_divisors = st.lists(st.integers(-9, 9).filter(bool), min_size=1, max_size=4)
+
+
+def _extend_with_integer_views(children):
+    pairs = st.tuples(children, children)
+    return st.one_of(
+        _extend(children),
+        children.map(_floor_node),
+        st.builds(_div_rem_node, children, _nonzero_divisors, st.booleans()),
+        st.builds(_gcd_node, pairs, st.booleans()))
+
+
+_leaves = st.one_of(
+    st.lists(st.one_of(_edge_values, _any_values), min_size=1, max_size=5).map(_values_leaf),
+    st.lists(st.integers(-70, 70), min_size=1, max_size=5).map(_integer_leaf))
+
+# view_trees' leaves and views, with floors, Euclidean quotients and
+# remainders, and gcds and their Bezout witnesses
+pair_trees = st.recursive(
+    st.one_of(_coefficients.map(_leaf),
+              st.sampled_from(["omega", "reciprocal_succ"]).map(_leaf), _leaves),
+    _extend_with_integer_views, max_leaves=6)
+
+
 class TestPairEvaluation:
     """The integer-pair evaluator against normalised values and the scans."""
 
@@ -758,6 +843,24 @@ class TestPairEvaluation:
         assert _outcome(arch_compare, a, b, depth) is \
             _outcome(reference_arch_compare, plain_a, plain_b, depth)
 
+    @settings(deadline=None, max_examples=300)
+    @given(tree=pair_trees, leaf=_leaves, data=st.data())
+    def test_pair_evaluators_match_fraction_arithmetic(self, tree, leaf, data):
+        # indices in random order, repeats included, so leaves both miss
+        # and hit their memos
+        indices = data.draw(st.lists(st.integers(0, 40), min_size=1, max_size=24))
+        for seq, plain in (tree, leaf):
+            for n in indices:
+                want = plain(n)
+                p, q = seq.pair(n)
+                assert type(p) is int and type(q) is int and q > 0
+                assert F(p, q) == want
+                value = seq.at(n)
+                assert type(value) is (int if isinstance(seq, sf.Hyperinteger) else F)
+                assert value == want
+        with pytest.raises(IndexError):
+            leaf[0].pair(-1)
+
     def test_inverse_keeps_the_sign_in_the_numerator(self):
         a = make(lambda n: F(n - 2, 3)).tilde_inv()
         assert [a.pair(n) for n in range(4)] == [(-3, 2), (-3, 1), (0, 1), (3, 1)]
@@ -768,18 +871,35 @@ class TestPairEvaluation:
         assert (a - make(F(4, 7))).pair(5) == (0, 7)
 
     def test_scans_read_no_normalised_view_values(self, monkeypatch):
-        # views are read through pair only; `at` runs for leaf memo misses
-        calls = []
+        # views and leaves, memo misses included, are read through pair
+        # only: `at` never runs
+        calls, reads = [], []
         at = sf.Hyperreal.at
-        monkeypatch.setattr(sf.Hyperreal, "at",
-                            lambda seq, n: calls.append(seq._cache == ()) or at(seq, n))
-        a = (make(lambda n: F(n + 1, 3)) + sf.RECIPROCAL_SUCC) * make(lambda n: F(2, n + 5))
+        monkeypatch.setattr(sf.Hyperreal, "at", lambda seq, n: calls.append(n) or at(seq, n))
+        a = ((make(lambda n: reads.append(n) or F(n + 1, 3)) + sf.RECIPROCAL_SUCC)
+             * make(lambda n: F(2, n + 5)))
         b = -abs(a.tilde_inv())
         compare(a, b, 64)
         classify(a, 64)
         arch_compare(a, b, 64)
         shadow(a * sf.RECIPROCAL_SUCC, F(1, 10), 64)
-        assert calls and not any(calls)
+        assert reads and not calls
+
+    @pytest.mark.parametrize("offset,witness", [(1000, 1001), (-1, 0)])
+    def test_compare_reads_each_leaf_index_once(self, monkeypatch, offset, witness):
+        # the scan reads [w - 1, depth] ([0, depth] when w = 0), each index
+        # once per generator, through pair alone; a second compare of the
+        # same pair reads only the memos
+        reads_a, reads_b, calls = [], [], []
+        at = sf.Hyperreal.at
+        monkeypatch.setattr(sf.Hyperreal, "at", lambda seq, n: calls.append(n) or at(seq, n))
+        a = make(lambda n: reads_a.append(n) or F(n - offset))
+        b = make(lambda n: reads_b.append(n) or F(0))
+        expected = list(range(max(witness - 1, 0), 4097))
+        for _ in range(2):
+            assert compare(a, b, 4096) == sf.CompareResult(Verdict.GREATER, witness)
+            assert sorted(reads_a) == sorted(reads_b) == expected
+        assert not calls
 
     def test_dropped_leaf_is_freed_without_the_cycle_collector(self):
         # a leaf (or a view) that referred to itself would keep its memo alive
