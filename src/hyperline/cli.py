@@ -33,6 +33,7 @@ _SOFT_ERRORS = (ClassUndetermined, ConvergenceUnknown, NotConvergentAtDepth,
 # refused up front.  2^_MAX_BITS is the largest power of two that prints.
 _MAX_DIGITS = 4300
 _MAX_BITS = (10 ** _MAX_DIGITS).bit_length() - 1
+_MAX_GOLDBACH_LIMIT = 10 ** 10
 
 
 def parse_rational(text: str) -> Fraction:
@@ -120,7 +121,12 @@ def _check_output_size(parser, args):
     more than _MAX_DIGITS digits: above _MAX_BITS + 1 bits it is at least
     2^(_MAX_BITS + 1) > 10^_MAX_DIGITS.  Likewise a `liouville` whose
     error_interval end 10^-(n+1)! prints (n+1)! + 1 digits, refused through
-    the capped factorial, so a huge n costs nothing."""
+    the capped factorial, so a huge n costs nothing, and a `goldbach` limit
+    above _MAX_GOLDBACH_LIMIT, before any perfect power is enumerated: the
+    partial sum's denominator already has more than 4300 digits at 3*10^9."""
+    if args.command == "goldbach" and args.limit > _MAX_GOLDBACH_LIMIT:
+        parser.error(f"goldbach --limit {args.limit}: limits above 10^10 are refused, "
+                     f"partial_sum would print more than {_MAX_DIGITS} digits")
     if args.command == "hermite" and args.hermite_command == "m":
         if hermite.hermite_M_min_bits(args.n, args.p) > _MAX_BITS + 1:
             parser.error(f"hermite m --n {args.n} --p {args.p}: "
@@ -263,7 +269,12 @@ def _interval_pair(interval):
 
 def _run_command(args) -> dict:
     if args.command == "goldbach":
-        return goldbach.goldbach_report(args.limit)
+        total = goldbach.partial_sum(args.limit)
+        # its denominator is the largest integer the report prints
+        if total.denominator >= 10 ** _MAX_DIGITS:
+            raise ValueError(f"goldbach --limit {args.limit}: "
+                             f"partial_sum would print more than {_MAX_DIGITS} digits")
+        return goldbach.goldbach_report(args.limit, total)
     if args.command == "sieve":
         return goldbach.euler_sieve(args.depth, args.steps).to_dict()
     if args.command == "extsum":

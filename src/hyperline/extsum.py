@@ -12,6 +12,13 @@ Convergence is certificate-driven: a ``SeriesSpec`` may carry a
 nonincreasing.  Without a certificate only a divergence witness (partial
 sums crossing a probe) is accepted; everything else raises
 ``ConvergenceUnknown``.
+
+A series is read as integer pairs (fraction-free, as in Knuth, TAOCP vol.
+2, 4.5.1): ``pair(n)`` is ``(p, q)`` with ``q > 0`` and term ``p/q``, not
+necessarily reduced, and ``tail_pair(k)`` is the tail bound the same way.
+The bracket floors, the freeze check, ``split_parts``' cursor and the eta
+interval all read those pairs; ``term_at`` and ``tail_bound`` are the
+rational faces, derived from them.
 """
 
 from __future__ import annotations
@@ -20,29 +27,60 @@ import re
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Optional
 
 from . import seqfield as sf
 from .errors import ConvergenceUnknown, InvalidPermutation
 from .intervals import Interval, grid_bits
-from .seqfield import Hyperreal, Verdict, compare, make
+from .seqfield import Hyperreal, Pair, Verdict, compare, make
 from .wattenberg import DedekindNumber, EPS_IDEM, dd_add, dd_scalar_mul, embed
 
 DEFAULT_DEPTH = sf.DEFAULT_DEPTH
 DEFAULT_ETA_TERMS = 128
 DEFAULT_DIVERGENCE_PROBE = 64
 
-_ZERO = Fraction(0)
-
 NONNEG = "nonneg"
 NONPOS = "nonpos"
 SPLIT = "split"
 
 
-@dataclass(frozen=True)
+def _exact_pairs(fn: Callable[[int], Fraction], label: str, kind: str,
+                 pattern: str = SPLIT) -> Callable[[int], Pair]:
+    """``fn``'s values as reduced pairs.  An int or a ``Fraction`` is taken
+    as it is; a float is refused with ``TypeError`` naming ``kind`` and the
+    index (``seqfield.exact_rational``).  A negative value under ``NONNEG``
+    and a positive one under ``NONPOS`` are refused with ``ValueError``."""
+    what = f"{label}: {kind}"
+
+    def pair(n):
+        value = fn(n)
+        if type(value) is not Fraction and type(value) is not int:
+            value = sf.exact_rational(value, what, n)
+        p, q = value.as_integer_ratio()
+        if p < 0 and pattern == NONNEG:
+            raise ValueError(f"{label}: negative {kind} at index {n}")
+        if p > 0 and pattern == NONPOS:
+            raise ValueError(f"{label}: positive {kind} at index {n}")
+        return p, q
+
+    return pair
+
+
 class SeriesSpec:
     """A series ``sum t_n`` from its terms, its sign pattern and, optionally,
     a certified tail bound.
+
+    The pair contract: ``pair(n)`` is ``(p, q)`` with ``q > 0`` and
+    ``t_n = p/q``, not necessarily reduced, and ``tail_pair(k)``, or None
+    without a certificate, is the tail bound as such a pair.
+    ``SeriesSpec(term, pattern, tail_bound, label)`` takes rational faces
+    (ints or ``Fraction``s) and wraps them into checked pairs once: a float
+    is refused with ``TypeError`` naming its index, and a term against the
+    sign pattern with ``ValueError``.  ``from_pairs`` takes the pairs
+    themselves, as the DSL's series give them, and trusts them to keep the
+    contract and the pattern.  ``term_at`` and ``tail_bound`` are the
+    rational faces of the pairs.
 
     The tail-bound contract: ``tail_bound(k) >= sum_{n>k} |t_n|`` at every
     ``k >= 0``, nonincreasing in ``k``.  It bounds the absolute tail, not only
@@ -61,43 +99,48 @@ class SeriesSpec:
     all the same, so ``classify`` reads its window's two ends and
     ``shadow`` bisects (see ``partial_sums``).
     A split series whose bound holds only for the signed tail breaks the
-    contract.  Terms and tail bounds are exact: a float is refused with
-    ``TypeError`` naming its index.
+    contract.
     """
-    term: Callable[[int], Fraction]
-    pattern: str
-    tail_bound: Optional[Callable[[int], Fraction]] = None
-    label: str = "<series>"
 
-    def __post_init__(self):
-        if self.pattern not in (NONNEG, NONPOS, SPLIT):
-            raise ValueError(f"unknown sign pattern {self.pattern!r}")
+    __slots__ = ("term", "pattern", "tail_bound", "label", "pair", "tail_pair")
+
+    def __init__(self, term: Callable[[int], Fraction], pattern: str,
+                 tail_bound: Optional[Callable[[int], Fraction]] = None,
+                 label: str = "<series>"):
+        if pattern not in (NONNEG, NONPOS, SPLIT):
+            raise ValueError(f"unknown sign pattern {pattern!r}")
+        self.term, self.pattern, self.tail_bound, self.label = term, pattern, tail_bound, label
+        self.pair = _exact_pairs(term, label, "term", pattern)
+        self.tail_pair = None if tail_bound is None else \
+            _exact_pairs(tail_bound, label, "tail bound")
+
+    @classmethod
+    def from_pairs(cls, pair: Callable[[int], Pair], pattern: str,
+                   tail_pair: Optional[Callable[[int], Pair]] = None,
+                   label: str = "<series>") -> "SeriesSpec":
+        """The series whose pairs are ``pair`` and ``tail_pair``, read as
+        they are: every term must have the sign ``pattern`` says."""
+        bound = None if tail_pair is None else lambda k: Fraction(*tail_pair(k))
+        spec = cls(lambda n: Fraction(*pair(n)), pattern, bound, label)
+        spec.pair, spec.tail_pair = pair, tail_pair
+        return spec
 
     def term_at(self, n: int) -> Fraction:
-        value = self.term(n)
-        if type(value) is not Fraction:
-            value = sf.exact_rational(value, f"{self.label}: term", n)
-        if self.pattern == NONNEG and value.numerator < 0:
-            raise ValueError(f"{self.label}: negative term at index {n}")
-        if self.pattern == NONPOS and value.numerator > 0:
-            raise ValueError(f"{self.label}: positive term at index {n}")
-        return value
+        return Fraction(*self.pair(n))
 
 
 def geom(ratio) -> SeriesSpec:
     """Geometric series with terms ratio^(n+1)."""
     r = Fraction(ratio)
-    if r >= 0:
-        pattern = NONNEG
-    else:
-        pattern = SPLIT
+    a, b = r.numerator, r.denominator
+    pattern = NONNEG if a >= 0 else SPLIT
     bound = None
-    a = abs(r)
-    if a < 1:
-        # |sum_{n>k} r^(n+1)| <= |r|^(k+2) / (1 - |r|)
-        scale = 1 / (1 - a)
-        bound = lambda k: a ** (k + 2) * scale
-    return SeriesSpec(lambda n: r ** (n + 1), pattern, bound, f"geom({r})")
+    m = abs(a)
+    if m < b:
+        # |sum_{n>k} r^(n+1)| <= |r|^(k+2) / (1 - |r|) = m^(k+2) / (b^(k+1) (b - m))
+        bound = lambda k: (m ** (k + 2), b ** (k + 1) * (b - m))
+    return SeriesSpec.from_pairs(lambda n: (a ** (n + 1), b ** (n + 1)), pattern, bound,
+                                 f"geom({r})")
 
 
 def pser(k: int) -> SeriesSpec:
@@ -107,22 +150,23 @@ def pser(k: int) -> SeriesSpec:
     bound = None
     if k >= 2:
         # sum_{n>m} 1/(n+1)^k <= integral comparison: 1/((k-1) (m+1)^(k-1))
-        bound = lambda m: Fraction(1, (k - 1) * (m + 1) ** (k - 1))
-    return SeriesSpec(lambda n: Fraction(1, (n + 1) ** k), NONNEG, bound, f"pser({k})")
+        bound = lambda m: (1, (k - 1) * (m + 1) ** (k - 1))
+    return SeriesSpec.from_pairs(lambda n: (1, (n + 1) ** k), NONNEG, bound, f"pser({k})")
 
 
 def harmonic_series() -> SeriesSpec:
-    return SeriesSpec(lambda n: Fraction(1, n + 1), NONNEG, None, "harmonic")
+    return SeriesSpec.from_pairs(lambda n: (1, n + 1), NONNEG, None, "harmonic")
 
 
 def alternating(inner: SeriesSpec) -> SeriesSpec:
     """Apply signs (-1)^n to the absolute values of another series' terms."""
+    pair = inner.pair
 
     def term(n):
-        value = abs(inner.term_at(n))
-        return value if n % 2 == 0 else -value
+        p, q = pair(n)
+        return (abs(p) if n % 2 == 0 else -abs(p)), q
 
-    return SeriesSpec(term, SPLIT, inner.tail_bound, f"alt({inner.label})")
+    return SeriesSpec.from_pairs(term, SPLIT, inner.tail_pair, f"alt({inner.label})")
 
 
 def partial_sums(spec: SeriesSpec) -> Hyperreal:
@@ -157,26 +201,26 @@ def partial_sums(spec: SeriesSpec) -> Hyperreal:
     """
     # per scale k: [table of L_n, next index to check, frozen (i, bracket)]
     scales: dict = {}
-    bound = None if spec.pattern == SPLIT else spec.tail_bound
+    pair = spec.pair
+    bound = None if spec.pattern == SPLIT else spec.tail_pair
     below = 1 if spec.pattern == NONPOS else 0
-    tail = f"{spec.label}: tail bound"
     lock = threading.Lock()
 
     def bracket(n: int, k: int):
         scale = scales.get(k)
         if scale is None:
             def floor_term(i):
-                term = spec.term_at(i)
-                return (term.numerator << k) // term.denominator
+                p, q = pair(i)
+                return (p << k) // q
 
             scale = scales.setdefault(k, [sf.cumulative_gen(floor_term), 1, None])
         table = scale[0]
         if scale[2] is None and bound is not None and scale[1] <= n:
             with lock:  # the check index only grows past indices that failed
-                unit = Fraction(1, 1 << k)
                 while scale[2] is None and scale[1] <= n:
                     i = scale[1]
-                    if 0 <= sf.exact_rational(bound(i), tail, i) < unit:
+                    b, d = bound(i)
+                    if b >= 0 and b << k < d:  # 0 <= b/d < 2^-k
                         lo = table(i) - below
                         scale[2] = (i, (lo, lo + i + 2, i + 1))
                     else:
@@ -210,16 +254,15 @@ def split_parts(spec: SeriesSpec):
     Reindexing compactly (rather than padding with zeros) is what makes the
     alternating unit series collapse exactly: its halves sum to the all-ones
     and all-minus-ones partials, which cancel pointwise.  One shared cursor
-    reads each term once and files its index and value under its sign.  A
-    zero term ``n`` with ``tail_bound(n) == 0`` ends the cursor, as every
-    later term is then 0; past its filed terms a half reads zero terms with
-    tail bound 0.
+    reads each term's pair once and files its index and pair under its sign
+    (a zero term is nonnegative).  A zero term ``n`` with a zero
+    ``tail_pair(n)`` ends the cursor, as every later term is then 0; past
+    its filed terms a half reads zero terms with tail bound 0.
     """
-    filed = ([], [])  # (original index, value) of the nonnegative, negative terms
+    filed = ([], [])  # (original index, pair) of the nonnegative, negative terms
     cursor = [0]      # the next index to read; None once the rest is certified 0
     lock = threading.Lock()
-    bound = spec.tail_bound
-    tail = f"{spec.label}: tail bound"
+    pair, bound = spec.pair, spec.tail_pair
 
     def entry(negative: bool, j: int):
         mine = filed[negative]
@@ -228,24 +271,23 @@ def split_parts(spec: SeriesSpec):
         with lock:
             while len(mine) <= j and cursor[0] is not None:
                 n = cursor[0]
-                value = spec.term_at(n)
-                filed[value.numerator < 0].append((n, value))
-                ended = not value and bound is not None and \
-                    sf.exact_rational(bound(n), tail, n) == 0
+                value = pair(n)
+                filed[value[0] < 0].append((n, value))
+                ended = not value[0] and bound is not None and bound(n)[0] == 0
                 cursor[0] = None if ended else n + 1
         return mine[j] if j < len(mine) else None
 
     def half(negative, pattern, suffix):
         def term(j):
             found = entry(negative, j)
-            return _ZERO if found is None else found[1]
+            return (0, 1) if found is None else found[1]
 
         def tail(k):
             found = entry(negative, k)
-            return _ZERO if found is None else bound(found[0])
+            return (0, 1) if found is None else bound(found[0])
 
-        return SeriesSpec(term, pattern, None if bound is None else tail,
-                          spec.label + suffix)
+        return SeriesSpec.from_pairs(term, pattern, None if bound is None else tail,
+                                     spec.label + suffix)
 
     return half(False, NONNEG, "+"), half(True, NONPOS, "-")
 
@@ -256,26 +298,30 @@ def _eta_interval(spec: SeriesSpec, eta_terms: int) -> Interval:
     the grid ``2^-k``, ``k`` the least integer >= 0 with ``2^-k <= slack``.
     It is at most ``4 * slack`` wide and its endpoints have about ``k``
     bits, whatever the size of the exact partial sum; a zero slack keeps
-    the exact point.
+    the exact point.  The terms are summed once over the lcm of their
+    denominators, and bounds are compared by cross-multiplication.
 
     The tail bound is checked nonincreasing at every index of
     ``[0, eta_terms)``, and a negative one is refused; a certificate that
     rises beyond them is not detected.
     """
-    partial = sum((spec.term_at(n) for n in range(eta_terms)), Fraction(0))
-    tail = f"{spec.label}: tail bound"
-    bounds = [sf.exact_rational(spec.tail_bound(n), tail, n) for n in range(eta_terms)]
-    if any(later > earlier for earlier, later in zip(bounds, bounds[1:])):
+    terms = [spec.pair(n) for n in range(eta_terms)]
+    den = lcm(*(q for _, q in terms))
+    num = sum(p * (den // q) for p, q in terms)
+    bounds = [spec.tail_pair(n) for n in range(eta_terms)]
+    # b1/d1 > b0/d0 with d0, d1 > 0
+    if any(b1 * d0 > b0 * d1 for (b0, d0), (b1, d1) in zip(bounds, bounds[1:])):
         raise ValueError(f"{spec.label}: tail bound is not nonincreasing")
-    slack = bounds[-1]
-    if slack < 0:  # the least bound, as they are nonincreasing
+    b, d = bounds[-1]  # the least bound, as they are nonincreasing
+    if b < 0:
         raise ValueError(f"{spec.label}: tail bound is negative")
-    if slack == 0:
-        return Interval.point(partial)
-    k = grid_bits(slack)
-    lo, hi = partial - slack, partial + slack
-    return Interval(Fraction((lo.numerator << k) // lo.denominator, 1 << k),
-                    Fraction(-(-(hi.numerator << k) // hi.denominator), 1 << k))
+    if b == 0:
+        return Interval.point(Fraction(num, den))
+    k = grid_bits(Fraction(b, d))
+    # the sum minus and plus the slack: (num d -/+ b den) / (den d)
+    whole = den * d
+    return Interval(Fraction(((num * d - b * den) << k) // whole, 1 << k),
+                    Fraction(-(-((num * d + b * den) << k) // whole), 1 << k))
 
 
 def flat_sum(spec: SeriesSpec, depth: int = DEFAULT_DEPTH,
@@ -289,7 +335,7 @@ def flat_sum(spec: SeriesSpec, depth: int = DEFAULT_DEPTH,
         raise ValueError("eta_terms must be >= 1")
     if spec.pattern == SPLIT:
         plus, minus = split_parts(spec)
-        if spec.tail_bound is None:
+        if spec.tail_pair is None:
             raise ConvergenceUnknown(f"{spec.label}: split sums need a certificate")
         left = flat_sum(plus, depth, eta_terms, divergence_probe)
         right = flat_sum(minus, depth, eta_terms, divergence_probe)
@@ -298,7 +344,7 @@ def flat_sum(spec: SeriesSpec, depth: int = DEFAULT_DEPTH,
         return ExtSumResult(value, interval, False)
 
     sums = partial_sums(spec)
-    if spec.tail_bound is not None:
+    if spec.tail_pair is not None:
         interval = _eta_interval(spec, eta_terms)
         sign = -1 if spec.pattern == NONNEG else 1
         return ExtSumResult(DedekindNumber(sums, sign, EPS_IDEM), interval, False)
@@ -317,7 +363,7 @@ def flat_sum(spec: SeriesSpec, depth: int = DEFAULT_DEPTH,
 def upper_lower_sum(spec: SeriesSpec):
     """Upper and lower sums of a certified-convergent series:
     (zeta^# + eps_d, zeta^# - eps_d) around the partial-sum hyperreal."""
-    if spec.tail_bound is None:
+    if spec.tail_pair is None:
         raise ConvergenceUnknown(f"{spec.label}: upper/lower sums need a certificate")
     sums = partial_sums(spec)
     upper = DedekindNumber(sums, 1, EPS_IDEM)
@@ -375,13 +421,18 @@ def rearranged(spec: SeriesSpec, perm: BoundedPermutation) -> SeriesSpec:
     displacement, so ``bound(k - d)`` covers the tail for ``k >= d``.  For
     ``k < d`` the tail may hold term 0, so the whole sum's bound
     ``|t_0| + bound(0)`` stands in."""
-    bound = spec.tail_bound
+    pair, bound, mapping = spec.pair, spec.tail_pair, perm.mapping
     d = perm.displacement
     shifted = None
     if bound is not None:
-        shifted = lambda k: bound(k - d) if k >= d else bound(0) + abs(spec.term_at(0))
-    return SeriesSpec(lambda n: spec.term_at(perm.mapping(n)), spec.pattern,
-                      shifted, f"{spec.label} o sigma")
+        def shifted(k):
+            if k >= d:
+                return bound(k - d)
+            (b, e), (p, q) = bound(0), pair(0)
+            return b * q + abs(p) * e, e * q
+
+    return SeriesSpec.from_pairs(lambda n: pair(mapping(n)), spec.pattern, shifted,
+                                 f"{spec.label} o sigma")
 
 
 def rearranged_flat_sum(spec: SeriesSpec, perm: BoundedPermutation,
@@ -439,6 +490,8 @@ def parse_series(text: str) -> SeriesSpec:
         if arg is None:
             raise ValueError("alt needs an inner series")
         return alternating(parse_series(arg))
+    if name in ("harmonic", "powers_recip") and arg is not None:
+        raise ValueError(f"{name} takes no argument")
     if name == "harmonic":
         return harmonic_series()
     if name == "powers_recip":

@@ -13,7 +13,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import List
+from typing import List, Optional
 
 from . import extsum
 from .errors import DepthTooSmall
@@ -21,21 +21,24 @@ from .intervals import Interval
 
 
 def perfect_powers(limit: int) -> List[int]:
-    """Sorted, deduplicated m^n <= limit with m, n >= 2."""
+    """Sorted, deduplicated m^n <= limit with m, n >= 2: the squares, plus
+    the powers m^n with odd n >= 3 that are not squares (an even exponent
+    gives a square)."""
     if limit < 0:
         raise ValueError("limit must be >= 0")
-    found = set()
-    exponent = 2
+    odd = set()
+    exponent = 3
     while (1 << exponent) <= limit:
         base = 2
         while True:
             value = base ** exponent
             if value > limit:
                 break
-            found.add(value)
+            if isqrt(value) ** 2 != value:
+                odd.add(value)
             base += 1
-        exponent += 1
-    return sorted(found)
+        exponent += 2
+    return sorted([m * m for m in range(2, isqrt(limit) + 1)] + list(odd))
 
 
 def _integer_root(k: int, exponent: int) -> int:
@@ -99,7 +102,13 @@ def tail_bound(limit: int) -> Fraction:
 
 def powers_reciprocal_series() -> extsum.SeriesSpec:
     """The series 1/(k-1) over perfect powers in increasing order, with a
-    certified tail bound."""
+    certified tail bound, as integer pairs.
+
+    The ``j``-th perfect power (from 0) is at most ``(j + 2)^2``, as the
+    squares ``2^2 .. (j + 2)^2`` are ``j + 1`` of them.  So a read past the
+    enumerated powers enumerates them once more, up to
+    ``max(4 * limit, (j + 2)^2)``, ``limit`` the previous enumeration's.
+    """
     powers: List[int] = []
     limit = [64]
     lock = threading.Lock()
@@ -108,18 +117,14 @@ def powers_reciprocal_series() -> extsum.SeriesSpec:
         if j < len(powers):
             return powers[j]
         with lock:
-            while len(powers) <= j:
-                limit[0] *= 4
+            if len(powers) <= j:
+                limit[0] = max(4 * limit[0], (j + 2) ** 2)
                 powers[:] = perfect_powers(limit[0])
         return powers[j]
 
-    def term(n: int) -> Fraction:
-        return Fraction(1, kth_power(n) - 1)
-
-    def bound(k: int) -> Fraction:
-        return tail_bound(kth_power(k))
-
-    return extsum.SeriesSpec(term, "nonneg", bound, "powers_recip")
+    return extsum.SeriesSpec.from_pairs(
+        lambda n: (1, kth_power(n) - 1), "nonneg",
+        lambda k: tail_bound(kth_power(k)).as_integer_ratio(), "powers_recip")
 
 
 @dataclass(frozen=True)
@@ -200,9 +205,11 @@ def flat_identity(limit: int, depth: int = 4096) -> extsum.ExtSumResult:
     return extsum.flat_sum(series, depth=depth, eta_terms=eta_terms)
 
 
-def goldbach_report(limit: int) -> dict:
-    """JSON-ready summary used by the CLI."""
-    total = partial_sum(limit)
+def goldbach_report(limit: int, total: Optional[Fraction] = None) -> dict:
+    """JSON-ready summary used by the CLI; ``total`` is ``partial_sum(limit)``
+    when the caller has it already."""
+    if total is None:
+        total = partial_sum(limit)
     bound = tail_bound(limit)
     return {
         "limit": limit,

@@ -53,8 +53,9 @@ def poly_expand_f(n: int, p: int) -> List[int]:
              for i in range(len(a) + 1)]
     powers = [a[0] ** p]  # a_0 = (-1)^n n! != 0
     for k in range(1, n * p + 1):
-        total = sum(((p + 1) * i - k) * a[i] * powers[k - i]
-                    for i in range(1, min(n, k) + 1))
+        total = 0
+        for i in range(1, min(n, k) + 1):
+            total += ((p + 1) * i - k) * a[i] * powers[k - i]
         quotient, remainder = divmod(total, k * a[0])
         if remainder:
             raise IdentityViolated(f"Miller step {k} of A^{p} is not exact")
@@ -114,9 +115,9 @@ def hermite_Ms(n: int, p: int) -> List[int]:
     polynomial g, integrating by parts, int_0^inf g(u) e^-u du = g(0) +
     int_0^inf g'(u) e^-u du = ... = sum_j g^(j)(0), and g^(j)(0) = f^(j)(k),
     so (p-1)! M_k = F(k) with F = sum_j f^(j).  Then F - F' = f, so from the
-    top F_e = c_e + (e+1) F_(e+1), and F(k) follows by Horner's rule: every
-    product is a big integer times a small one.  The division is checked
-    exact.
+    top F_e = c_e + (e+1) F_(e+1).  F(0) = F_0 and F(1) is the sum of the
+    F_e; F(k) for k >= 2 follows by Horner's rule, where every product is a
+    big integer times a small one.  The division is checked exact.
 
     Hermite's divisibility follows in closed form.  f^(j)(x) = sum_e c_e
     e!/(e-j)! x^(e-j) with e!/(e-j)! = j! C(e, j), so f^(j) at an integer
@@ -129,14 +130,19 @@ def hermite_Ms(n: int, p: int) -> List[int]:
     certificate checks still test both, as an untrusted certificate needs
     them.
     """
-    big_f = poly_expand_f(n, p)
-    for e in range(len(big_f) - 2, -1, -1):
-        big_f[e] += (e + 1) * big_f[e + 1]
+    f = poly_expand_f(n, p)
+    big_f, total = [], 0  # F_N, ..., F_0: the highest coefficient first
+    for coefficient, e1 in zip(reversed(f), range(len(f), 0, -1)):
+        total = coefficient + e1 * total
+        big_f.append(total)
     scale, result = factorial(p - 1), []
     for k in range(n + 1):
-        total = 0
-        for coefficient in reversed(big_f):
-            total = total * k + coefficient
+        if k < 2:
+            total = sum(big_f) if k else big_f[-1]
+        else:
+            total = 0
+            for coefficient in big_f:
+                total = total * k + coefficient
         quotient, remainder = divmod(total, scale)
         if remainder:
             raise IdentityViolated(f"(p-1)! does not divide M_{k}({n}, {p})")

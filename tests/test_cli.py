@@ -16,7 +16,7 @@ import sympy
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hyperline import goldbach, hermite
+from hyperline import cli, goldbach, hermite
 from hyperline.cli import eval_wat_expr, parse_rational, render, run
 
 F = Fraction
@@ -274,6 +274,8 @@ class TestDeterminismAndExitCodes:
         ["extsum", "--series", "geom(1/0)"],
         ["extsum", "--series", "pser(0)"],
         ["extsum", "--series", "alt(geom(x))"],
+        ["extsum", "--series", "powers_recip(2)"],
+        ["extsum", "--series", "harmonic(3)"],
         ["wat", "--expr", "1#", "--depth", "-3"],
         ["wat", "--expr", "1#", "--depth", "0"],
         ["--depth", "ten", "wat", "--expr", "1#"],
@@ -363,6 +365,33 @@ class TestDeterminismAndExitCodes:
         assert code == 2 and captured.out == ""
         assert captured.err == (f"error: hermite m --n 1 --p {p}: "
                                 "M would print more than 4300 digits\n")
+
+    @pytest.mark.parametrize("limit", [10 ** 10 + 1, 10 ** 20])
+    def test_goldbach_limit_above_the_cap_is_refused_up_front(self, capsys, monkeypatch,
+                                                              limit):
+        # 10^20 used to ask perfect_powers for 10^10 squares
+        def refuse(_limit):
+            raise AssertionError("perfect powers were enumerated")
+
+        monkeypatch.setattr(cli.goldbach, "perfect_powers", refuse)
+        code = run(["goldbach", "--limit", str(limit)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"goldbach --limit {limit}: limits above 10^10 are refused" in captured.err
+        assert "would print more than 4300 digits" in captured.err
+
+    def test_goldbach_sum_past_the_digit_cap_is_refused(self, capsys, monkeypatch):
+        # the denominator of partial_sum(1000) has 18 digits
+        monkeypatch.setattr(cli, "_MAX_DIGITS", 17)
+        code = run(["goldbach", "--limit", "1000"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == ("error: goldbach --limit 1000: "
+                                "partial_sum would print more than 17 digits\n")
+        monkeypatch.setattr(cli, "_MAX_DIGITS", 18)
+        code, out = capture(capsys, ["goldbach", "--limit", "1000"])
+        assert code == 0
+        assert len(json.loads(out)["partial_sum"].split("/")[1]) == 18
 
     def test_all_zero_split_series_exits_at_once(self):
         # the split cursor used to scan forever for a negative term

@@ -2,11 +2,14 @@ import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from math import ceil, floor, isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperline import extsum as es
+from hyperline import goldbach as gb
 from hyperline import seqfield as sf
 from hyperline import wattenberg as wb
 from hyperline.errors import ConvergenceUnknown, InvalidPermutation
@@ -418,6 +421,13 @@ class TestSeriesDsl:
         with pytest.raises(ValueError):
             parse_series("geom")
 
+    @pytest.mark.parametrize("text", ["harmonic(3)", "powers_recip(2)", "harmonic()",
+                                      "alt(powers_recip(1/2))"])
+    def test_refuses_an_argument_it_does_not_take(self, text):
+        # they used to be dropped: powers_recip(2) ran as powers_recip
+        with pytest.raises(ValueError, match="takes no argument"):
+            parse_series(text)
+
 
 BRACKET_SERIES = ["geom(1/3)", "geom(2/5)", "geom(-1/3)", "pser(2)", "pser(3)",
                   "alt(geom(1/2))", "alt(pser(2))", "powers_recip"]
@@ -772,3 +782,269 @@ class TestBrackets:
         plus, minus = split_parts(spec)
         assert minus.term_at(0) == F(-1, 8)
         assert plus.term_at(3) == F(1, 16)
+
+
+# ---------------------------------------------------------------------------
+# The pair path against a Fraction reference: each series below comes with
+# its terms, tail bound and sign pattern computed in Fractions here, and
+# split halves, eta intervals and brackets are recomputed from those.
+
+def _ref_geom(r):
+    a = abs(r)
+    bound = (lambda k: a ** (k + 2) / (1 - a)) if a < 1 else None
+    return (lambda n: r ** (n + 1)), bound, "nonneg" if r >= 0 else "split"
+
+
+def _ref_pser(k):
+    bound = (lambda m: F(1, (k - 1) * (m + 1) ** (k - 1))) if k >= 2 else None
+    return (lambda n: F(1, (n + 1) ** k)), bound, "nonneg"
+
+
+def _ref_alt(ref):
+    term, bound, _ = ref
+    return (lambda n: abs(term(n)) * (-1) ** n), bound, "split"
+
+
+def _ref_rearranged(ref, perm):
+    term, bound, pattern = ref
+    d = perm.displacement
+    shifted = None
+    if bound is not None:
+        shifted = lambda k: bound(k - d) if k >= d else bound(0) + abs(term(0))
+    return (lambda n: term(perm.mapping(n))), shifted, pattern
+
+
+_SMALL_POWERS = sorted({m ** e for m in range(2, 600) for e in range(2, 19)
+                        if m ** e <= 360_000})
+
+
+def _ref_powers():
+    def bound(k):
+        s = isqrt(_SMALL_POWERS[k])
+        return F(1, s) + F(1, s + 1)
+
+    return (lambda n: F(1, _SMALL_POWERS[n] - 1)), bound, "nonneg"
+
+
+def _ref_halves(ref):
+    """The two halves as split_parts defines them: the nonnegative and the
+    negative terms in order, each with the bound at its original index; a
+    zero term whose bound is zero ends both."""
+    term, bound, _ = ref
+    filed, state = ([], []), {"next": 0}
+
+    def entry(negative, j):
+        mine = filed[negative]
+        while len(mine) <= j and state["next"] is not None:
+            n = state["next"]
+            value = term(n)
+            filed[value < 0].append((n, value))
+            ended = value == 0 and bound is not None and bound(n) == 0
+            state["next"] = None if ended else n + 1
+        return mine[j] if j < len(mine) else None
+
+    def half(negative):
+        def h_term(j):
+            found = entry(negative, j)
+            return F(0) if found is None else found[1]
+
+        def h_bound(k):
+            found = entry(negative, k)
+            return F(0) if found is None else bound(found[0])
+
+        return h_term, None if bound is None else h_bound, "nonpos" if negative else "nonneg"
+
+    return half(False), half(True)
+
+
+def _ref_eta(ref, eta_terms):
+    """The eta interval in Fractions, or the message it is refused with."""
+    term, bound, _ = ref
+    partial = sum((F(term(n)) for n in range(eta_terms)), F(0))
+    bounds = [F(bound(n)) for n in range(eta_terms)]
+    if any(later > earlier for earlier, later in zip(bounds, bounds[1:])):
+        return "tail bound is not nonincreasing"
+    slack = bounds[-1]
+    if slack < 0:
+        return "tail bound is negative"
+    if slack == 0:
+        return Interval.point(partial)
+    k = grid_bits(slack)
+    return Interval(F(floor((partial - slack) * 2 ** k), 2 ** k),
+                    F(ceil((partial + slack) * 2 ** k), 2 ** k))
+
+
+def _ref_bracket(ref, n, k):
+    """partial_sums' bracket at (n, k): the first i of 1, 2, 4, ... <= n
+    with 0 <= T(i) < 2^-k freezes a one-signed table for every read past i."""
+    term, bound, pattern = ref
+    floors = [floor(F(term(j)) * 2 ** k) for j in range(n + 1)]
+    if pattern != "split" and bound is not None:
+        i = 1
+        while i < n:
+            if 0 <= bound(i) < F(1, 2 ** k):
+                lo = sum(floors[:i + 1]) - (pattern == "nonpos")
+                return lo, lo + i + 2, i + 1
+            i *= 2
+    lo = sum(floors)
+    return lo, lo + n + 1, n
+
+
+def _eta_outcome(spec, eta_terms):
+    try:
+        interval = es._eta_interval(spec, eta_terms)
+    except ValueError as exc:
+        return str(exc).split(": ", 1)[1]
+    return str(interval.lo), str(interval.hi)
+
+
+def _bytes(outcome):
+    return outcome if isinstance(outcome, str) else (str(outcome.lo), str(outcome.hi))
+
+
+_PAIR_RATIOS = st.fractions(min_value=F(-15, 16), max_value=F(15, 16),
+                            max_denominator=40)
+
+
+@st.composite
+def _user_specs(draw):
+    """A user SeriesSpec from Fraction and int terms, zero terms included:
+    cyclic coefficients times r^(n+1) with a tail bound that may rise once
+    (a broken certificate), or finitely many terms with their exact tail,
+    which is 0 past the last.  A split one has terms of both signs in every
+    cycle, so each half keeps finding terms."""
+    pattern = draw(st.sampled_from(["nonneg", "nonpos", "split"]))
+    sign = -1 if pattern == "nonpos" else 1
+    values = st.sampled_from([0, 0, 1, 2, F(1, 3), F(2, 7)])
+    if draw(st.booleans()):
+        xs = [sign * x for x in draw(st.lists(values, max_size=150))]
+        if pattern == "split":
+            xs = [x * draw(st.sampled_from([1, -1])) for x in xs]
+        ref = _finite(xs, pattern)
+        return ref, (ref.term, ref.tail_bound, pattern)
+    coeffs = draw(st.lists(values, min_size=1, max_size=6))
+    if pattern == "split":
+        coeffs += [1] + [-c for c in coeffs if c] + [-1]
+    r = draw(st.fractions(min_value=F(1, 9), max_value=F(7, 8), max_denominator=16))
+    top = max(abs(c) for c in coeffs)
+    bump = draw(st.one_of(st.none(), st.integers(1, 126)))
+    integral = draw(st.booleans())
+
+    def term(n):
+        c = sign * coeffs[n % len(coeffs)]
+        return c if integral and (c == 0 or n == 0) else c * r ** (n + 1)
+
+    def bound(k):
+        return top * r ** (k + 1) / (1 - r) * (2 if k == bump else 1)
+
+    return SeriesSpec(term, pattern, bound, "user"), (term, bound, pattern)
+
+
+def _scaled(spec, g):
+    """The same series with every pair, tail pairs included, scaled by g:
+    pairs need not be reduced."""
+    pair, tail = spec.pair, spec.tail_pair
+    return SeriesSpec.from_pairs(
+        lambda n: tuple(g * x for x in pair(n)), spec.pattern,
+        None if tail is None else lambda k: tuple(g * x for x in tail(k)), spec.label)
+
+
+@st.composite
+def _paired_series(draw):
+    """A series and its Fraction reference."""
+    kind = draw(st.sampled_from(["geom", "pser", "harmonic", "alt", "rearranged",
+                                 "powers", "user", "plus", "minus"]))
+    if kind == "geom":
+        r = draw(_PAIR_RATIOS)
+        spec, ref = geom(r), _ref_geom(r)
+    elif kind == "pser":
+        k = draw(st.integers(1, 5))
+        spec, ref = pser(k), _ref_pser(k)
+    elif kind == "harmonic":
+        spec, ref = harmonic_series(), _ref_pser(1)
+    elif kind == "alt":
+        r = draw(_PAIR_RATIOS)
+        k = draw(st.integers(2, 4))
+        spec, ref = draw(st.sampled_from([(alternating(geom(r)), _ref_alt(_ref_geom(r))),
+                                          (alternating(pser(k)), _ref_alt(_ref_pser(k)))]))
+    elif kind == "rearranged":
+        r = draw(st.fractions(min_value=0, max_value=F(15, 16), max_denominator=40))
+        perm = _block_permutation(draw(st.integers(1, 5)), draw(st.integers(0, 9)))
+        spec, ref = rearranged(geom(r), perm), _ref_rearranged(_ref_geom(r), perm)
+    elif kind == "powers":
+        spec, ref = gb.powers_reciprocal_series(), _ref_powers()
+    else:
+        spec, ref = draw(st.one_of(
+            _user_specs(),
+            _PAIR_RATIOS.map(lambda r: (geom(r), _ref_geom(r))),
+            st.integers(2, 4).map(lambda k: (alternating(pser(k)), _ref_alt(_ref_pser(k))))))
+        if kind != "user" and ref[2] == "split":
+            plus, minus = split_parts(spec)
+            ref_plus, ref_minus = _ref_halves(ref)
+            spec, ref = (plus, ref_plus) if kind == "plus" else (minus, ref_minus)
+    g = draw(st.sampled_from([1, 1, 2, 6]))
+    return (spec if g == 1 else _scaled(spec, g)), ref
+
+
+class TestPairPath:
+    """Every read of a series goes through its integer pairs; these pin the
+    pair path to the Fraction reference above."""
+
+    @given(paired=_paired_series(), n=st.one_of(st.integers(0, 8), st.integers(0, 400)))
+    @settings(deadline=None)
+    def test_rational_faces(self, paired, n):
+        spec, (term, bound, pattern) = paired
+        assert spec.pattern == pattern
+        value = spec.term_at(n)
+        assert type(value) is F and str(value) == str(F(term(n)))
+        p, q = spec.pair(n)
+        assert q > 0 and F(p, q) == value
+        assert (spec.tail_bound is None) == (bound is None) == (spec.tail_pair is None)
+        if bound is not None:
+            b, d = spec.tail_pair(n)
+            assert d > 0 and F(b, d) == bound(n)
+            assert str(spec.tail_bound(n)) == str(F(bound(n)))
+
+    @given(paired=_paired_series(), eta_terms=st.sampled_from([1, 2, 7, 64, 128]))
+    @settings(deadline=None)
+    def test_eta_interval_bytes(self, paired, eta_terms):
+        spec, ref = paired
+        if ref[1] is None:
+            return
+        assert _eta_outcome(spec, eta_terms) == _bytes(_ref_eta(ref, eta_terms))
+        if spec.pattern == "split":
+            plus, minus = split_parts(spec)
+            for half, ref_half in zip((plus, minus), _ref_halves(ref)):
+                assert _eta_outcome(half, eta_terms) == _bytes(_ref_eta(ref_half, eta_terms))
+
+    @given(paired=_paired_series(), k=st.sampled_from([0, 1, 5, 12, 23, 45, 80]),
+           reads=st.lists(st.integers(0, 300), min_size=1, max_size=6))
+    @settings(deadline=None)
+    def test_bracket_triples(self, paired, k, reads):
+        spec, ref = paired
+        halves = zip(split_parts(spec), _ref_halves(ref)) if spec.pattern == "split" \
+            else [(spec, ref)]
+        for part, ref_part in halves:
+            sums = partial_sums(part)
+            for n in reads:
+                assert sums.bracket(n, k) == _ref_bracket(ref_part, n, k)
+
+    def test_user_float_bound_still_refused_through_halves(self):
+        spec = SeriesSpec(lambda n: F(-1, 2) ** n, "split",
+                          lambda k: F(1, 2 ** k) if k < 3 else 2.0 ** -k, "floaty")
+        plus, _ = split_parts(spec)
+        with pytest.raises(TypeError, match="^floaty: tail bound .* at index 4 is a float"):
+            es._eta_interval(plus, 8)
+
+    @pytest.mark.parametrize("make,tol,depth", [
+        (lambda: geom(F(1, 3)), F(1, 10 ** 8), 2048),
+        (gb.powers_reciprocal_series, F(9, 1000), 4096),
+    ], ids=["geom(1/3)", "powers_recip"])
+    def test_flat_sum_and_wst_never_read_term_at(self, monkeypatch, make, tol, depth):
+        def refuse(spec, n):
+            raise AssertionError(f"term_at({n}) read on {spec.label}")
+
+        monkeypatch.setattr(SeriesSpec, "term_at", refuse)
+        result = flat_sum(make(), depth=depth)
+        interval = wst(result.value, tol, depth)
+        assert interval.width <= 2 * tol

@@ -1,12 +1,14 @@
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
 
+from hyperline import goldbach as gb
 from hyperline import wattenberg as wb
 from hyperline.errors import DepthTooSmall
 from hyperline.goldbach import (euler_sieve, flat_identity, goldbach_report,
                                 is_perfect_power, partial_sum, perfect_powers,
-                                tail_bound)
+                                powers_reciprocal_series, tail_bound)
 from hyperline.wattenberg import idem_eq, wst
 
 F = Fraction
@@ -38,6 +40,18 @@ class TestPerfectPowers:
         # equality of the full sorted lists at 10^5 settles every limit below
         assert perfect_powers(10 ** 5) == brute_force_powers(10 ** 5)
 
+    def test_every_limit_below_5000(self):
+        everything = brute_force_powers(5000)
+        for limit in range(5000):
+            assert perfect_powers(limit) == everything[:bisect_right(everything, limit)]
+
+    def test_limits_at_power_and_square_boundaries(self):
+        limits = {2 ** k + d for k in range(2, 31) for d in (-1, 1)}
+        limits |= {m * m + d for m in (2, 3, 8, 31, 32, 1000, 4097) for d in (-1, 0, 1)}
+        limits |= {(j + 2) ** 2 for j in (0, 1, 2, 30, 4096, 5000)}
+        for limit in sorted(limits):
+            assert perfect_powers(limit) == brute_force_powers(limit), limit
+
     def test_is_perfect_power_agrees(self):
         powers = set(perfect_powers(3000))
         for k in range(3000 + 1):
@@ -48,6 +62,50 @@ class TestPerfectPowers:
                                             (2 ** 1279 - 1, False)])
     def test_is_perfect_power_beyond_float_range(self, k, expected):
         assert is_perfect_power(k) is expected
+
+
+class TestPowersReciprocalSeries:
+    # the j-th perfect power is at most (j + 2)^2
+    POWERS = brute_force_powers(5002 ** 2)
+
+    def check(self, spec, j):
+        assert spec.term_at(j) == F(1, self.POWERS[j] - 1)
+        assert spec.pair(j) == (1, self.POWERS[j] - 1)
+        assert spec.tail_bound(j) == tail_bound(self.POWERS[j])
+
+    def test_reads_in_order_cross_every_growth(self):
+        spec = powers_reciprocal_series()
+        for j in range(5001):
+            self.check(spec, j)
+
+    @pytest.mark.parametrize("reads", [
+        [5000, 0, 4096, 17],
+        [2 ** i for i in range(13)] + [5000],
+        [20, 21, 22, 23, 60, 61, 62, 63, 250, 251, 2499, 2500],
+    ], ids=["down", "doubling", "boundaries"])
+    def test_reads_out_of_order(self, reads):
+        spec = powers_reciprocal_series()
+        for j in reads:
+            self.check(spec, j)
+        for j in range(max(reads) + 1):
+            self.check(spec, j)
+
+    def test_enumerates_only_as_far_as_needed(self, monkeypatch):
+        # the freeze check reads the bound at 1, 2, 4, ..., 4096: growing by
+        # 4 alone enumerated up to 4^13 = 67,108,864 for 4097 powers
+        limits = []
+        enumerate_up_to = gb.perfect_powers
+
+        def recorded(limit):
+            limits.append(limit)
+            return enumerate_up_to(limit)
+
+        monkeypatch.setattr(gb, "perfect_powers", recorded)
+        spec = powers_reciprocal_series()
+        for i in range(13):
+            spec.tail_pair(2 ** i)
+        assert max(limits) < 2 * 4098 ** 2
+        assert all(later >= 4 * earlier for earlier, later in zip(limits, limits[1:]))
 
 
 class TestPartialSum:

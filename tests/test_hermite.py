@@ -160,8 +160,56 @@ class TestHermiteIntegers:
     def test_inexact_division_raises(self, monkeypatch):
         # the (p-1)! division is an explicit check, kept under python -O
         monkeypatch.setattr(hermite, "factorial", lambda m: 7 ** 40)
-        with pytest.raises(IdentityViolated):
+        with pytest.raises(IdentityViolated, match=r"^\(p-1\)! does not divide M_0\(1, 3\)$"):
             hermite_Ms(1, 3)
+
+    def test_inexact_miller_step_raises(self, monkeypatch):
+        # every division the expansion makes leaves a remainder
+        monkeypatch.setattr(hermite, "divmod", lambda a, b: (a // b, 1), raising=False)
+        with pytest.raises(IdentityViolated, match="^Miller step 1 of A\\^5 is not exact$"):
+            hermite_Ms(2, 5)
+
+
+def parent_hermite_Ms(n, p):
+    """hermite_Ms as it was before its loops were rewritten: Miller's
+    recurrence with generator sums, F built in place, Horner at every k."""
+    a = [1]
+    for j in range(1, n + 1):
+        a = [(a[i - 1] if i else 0) - j * (a[i] if i < len(a) else 0)
+             for i in range(len(a) + 1)]
+    powers = [a[0] ** p]
+    for k in range(1, n * p + 1):
+        total = sum(((p + 1) * i - k) * a[i] * powers[k - i]
+                    for i in range(1, min(n, k) + 1))
+        quotient, remainder = divmod(total, k * a[0])
+        assert remainder == 0
+        powers.append(quotient)
+    big_f = [0] * (p - 1) + powers
+    for e in range(len(big_f) - 2, -1, -1):
+        big_f[e] += (e + 1) * big_f[e + 1]
+    scale, result = factorial(p - 1), []
+    for k in range(n + 1):
+        total = 0
+        for coefficient in reversed(big_f):
+            total = total * k + coefficient
+        quotient, remainder = divmod(total, scale)
+        assert remainder == 0
+        result.append(quotient)
+    return result
+
+
+class TestHermiteMsAgainstParentLoop:
+    def test_every_pair_the_engine_batch_reads(self):
+        # n <= 3 and p <= 211: every certificate search of the benchmark's
+        # batches, and the primes between
+        for n in (1, 2, 3):
+            for p in sympy.primerange(2, 212):
+                assert hermite_Ms(n, p) == parent_hermite_Ms(n, p), (n, p)
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_higher_degrees_at_small_primes(self, n):
+        for p in sympy.primerange(2, 42):
+            assert hermite_Ms(n, p) == parent_hermite_Ms(n, p), (n, p)
 
 
 class TestEInterval:
