@@ -34,6 +34,11 @@ _SOFT_ERRORS = (ClassUndetermined, ConvergenceUnknown, NotConvergentAtDepth,
 _MAX_DIGITS = 4300
 _MAX_BITS = (10 ** _MAX_DIGITS).bit_length() - 1
 _MAX_GOLDBACH_LIMIT = 10 ** 10
+# Work bounds: at the caps, sieve takes about 2 s and extsum --series harmonic,
+# whose divergence probe reads every exact partial sum, about 2 s and 0.5 GB.
+_MAX_SIEVE_STEPS = 10 ** 4
+_MAX_SIEVE_DEPTH = 10 ** 18
+_MAX_EXTSUM_DEPTH = 5 * 10 ** 4
 
 
 def parse_rational(text: str) -> Fraction:
@@ -123,7 +128,15 @@ def _check_output_size(parser, args):
     error_interval end 10^-(n+1)! prints (n+1)! + 1 digits, refused through
     the capped factorial, so a huge n costs nothing, and a `goldbach` limit
     above _MAX_GOLDBACH_LIMIT, before any perfect power is enumerated: the
-    partial sum's denominator already has more than 4300 digits at 3*10^9."""
+    partial sum's denominator already has more than 4300 digits at 3*10^9.
+    Also refuse a `sieve` or `extsum` past its work bounds."""
+    depth = getattr(args, "depth", 0)  # unset: a default below every cap
+    if args.command == "sieve" and args.steps > _MAX_SIEVE_STEPS:
+        parser.error(f"sieve --steps {args.steps}: steps above 10^4 are refused")
+    if args.command == "sieve" and depth > _MAX_SIEVE_DEPTH:
+        parser.error(f"sieve --depth {depth}: depths above 10^18 are refused")
+    if args.command == "extsum" and depth > _MAX_EXTSUM_DEPTH:
+        parser.error(f"extsum --depth {depth}: depths above 50000 are refused")
     if args.command == "goldbach" and args.limit > _MAX_GOLDBACH_LIMIT:
         parser.error(f"goldbach --limit {args.limit}: limits above 10^10 are refused, "
                      f"partial_sum would print more than {_MAX_DIGITS} digits")
@@ -276,7 +289,12 @@ def _run_command(args) -> dict:
                              f"partial_sum would print more than {_MAX_DIGITS} digits")
         return goldbach.goldbach_report(args.limit, total)
     if args.command == "sieve":
-        return goldbach.euler_sieve(args.depth, args.steps).to_dict()
+        report = goldbach.euler_sieve(args.depth, args.steps)
+        ends = report.residual.lo, report.residual.hi  # its largest integers
+        if any(max(abs(q.numerator), q.denominator) >= 10 ** _MAX_DIGITS for q in ends):
+            raise ValueError(f"sieve --depth {args.depth} --steps {args.steps}: "
+                             f"residual would print more than {_MAX_DIGITS} digits")
+        return report.to_dict()
     if args.command == "extsum":
         spec = args.series
         result = extsum.flat_sum(spec, depth=args.depth)

@@ -164,12 +164,12 @@ def euler_sieve(depth: int, steps: int) -> SieveReport:
     """
     if steps < 1 or depth < steps:
         raise ValueError("need depth >= steps >= 1")
-    covered = bytearray(depth + 1)
+    covered = set()  # the powers of the chosen bases, O(steps log depth) of them
     covered_values: List[int] = []
     sieve_steps: List[SieveStep] = []
     candidate = 2
     for _ in range(steps):
-        while candidate <= depth and covered[candidate]:
+        while candidate <= depth and candidate in covered:
             candidate += 1
         if candidate > depth:
             raise DepthTooSmall(f"only {len(sieve_steps)} bases fit below {depth}")
@@ -177,7 +177,7 @@ def euler_sieve(depth: int, steps: int) -> SieveReport:
         value = m
         largest_exp = 0
         while value <= depth:
-            covered[value] = 1
+            covered.add(value)
             covered_values.append(value)
             largest_exp += 1
             value *= m

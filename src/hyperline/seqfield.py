@@ -30,10 +30,16 @@ c * (n+1)^e`` at every ``n >= 0``, with ``e = 0`` whenever ``c = 0``.
 Constants have ``e = 0``, ``OMEGA`` is ``(1, 1)`` and ``RECIPROCAL_SUCC``
 ``(1, -1)``; products, ``tilde_inv``, negation and ``abs`` propagate it, and
 so do sums and differences of equal exponents.  The form only steers the
-verdicts; values are always read from the generator.  ``compare``,
-``classify`` and ``arch_compare`` decide two forms from their coefficients
-or from the window's two ends (the proofs are in their docstrings); every
-other case runs the scan.
+verdicts; values are always read from the generator.  ``compare`` decides
+two forms from their coefficients (the proof is in its docstring).
+
+Every other verdict is one scan, ``_window``: how far down from ``depth``
+the suffix window ``[w, depth]`` stays uniform.  It reads a cell per index
+(a sign, a tag, or ``shadow``'s grid cell) and stops at the first one that
+breaks the window: another sign or tag, or a hull wider than
+``tolerance/2``.  ``compare`` and ``shadow`` scan down to index 0, so
+``compare``'s witness is the least one; ``classify`` and ``arch_compare``
+stop at ``depth//2``, all that a verdict needs.
 
 A sequence may also carry an integer *bracket* ``bracket(n, k) -> (lo, hi,
 start)`` with ``lo <= a(n) * 2^k <= hi``, cheaper to compute than ``a(n)``
@@ -41,19 +47,17 @@ itself (partial sums of series set one; ``+`` and ``-`` propagate it).
 ``start <= n`` opens a run: every index of ``[start, n]`` has the bracket
 ``(lo, hi)`` (a partial sum frozen at its certified tail reports where the
 freeze begins, any other read ``n``; ``+`` and ``-`` take the larger of
-their operands' starts).  It only filters: ``classify`` decides an index
-from its bracket when the bracket lies within one tag and reads the exact
-``a(n)`` otherwise, so its tags are the exact ones; ``shadow`` scans the
-brackets' hull, whose cells still hold every term.  Both cross a run in one
-step, as its indices share one cell and, when the bracket decides it, one
-tag.  A sequence without a bracket takes the exact path.
+their operands' starts).  It only filters: ``classify``'s cell is the tag
+of the bracket when it lies within one tag and of the exact ``a(n)``
+otherwise; ``shadow``'s is the bracket rounded outward, which still holds
+the term.  A run is one cell, so the scan crosses it in one step.
 
 A bracketed sequence may also be *monotone*: ``a(n) >= 0`` is nondecreasing
 and so are both ends of its bracket at every scale (the partial sums of a
-nonnegative series set it; nothing propagates it).  Its tags are then
-monotone in ``n``, so ``classify`` reads the window's two ends, and the hull
-of the cells of ``[n, depth]`` is ``(cell_lo(n), cell_hi(depth))``, so
-``shadow`` finds its window start by bisection.
+nonnegative series set it; nothing propagates it).  Then, as for a form,
+the tags are monotone in ``n``, and the hull of the cells of ``[n, depth]``
+is ``(cell_lo(n), cell_hi(depth))``.  Such a scan reads the window's two
+ends first and bisects only when the window does not reach the lower one.
 
 A `Hyperinteger` is a `Hyperreal` whose terms are integers, so it takes
 part in every operation and verdict above.  Floors, Euclidean quotients and
@@ -521,59 +525,58 @@ def compare(a, b, depth: int = DEFAULT_DEPTH) -> CompareResult:
         return CompareResult(_BY_SIGN[_sign(gap[0]) + 1], 0)
     pa, pb = a.pair, b.pair
 
-    def sign_at(n):  # sign(x/y - u/v) = sign(xv - uy), as y, v > 0
+    def sign_cell(n):  # sign(x/y - u/v) = sign(xv - uy), as y, v > 0
         x, y = pa(n)
         u, v = pb(n)
         gap = x * v - u * y
-        return (gap > 0) - (gap < 0)
+        return (gap > 0) - (gap < 0), n
 
-    w = depth
-    last = sign_at(depth)
-    for n in range(depth - 1, -1, -1):
-        if sign_at(n) != last:
-            break
-        w = n
+    sign, w = _window(sign_cell, _same, depth, 0)
     if 2 * w > depth:
         return _UNDETERMINED
-    return CompareResult(_BY_SIGN[last + 1], w)
+    return CompareResult(_BY_SIGN[sign + 1], w)
 
 
-def _half_window_tag(tag_at, depth: int, undetermined, monotone: bool = False,
-                     runs: bool = False):
-    """The tag shared by every index of ``[depth//2, depth]``, else
-    ``undetermined``.
+def _same(tag, c):
+    """The join of a tag scan: the window goes on while the tag stays."""
+    return tag if c == tag else None
 
-    A predicate has a suffix witness ``w`` with ``2*w <= depth`` exactly when
-    it holds on that whole range.  ``tag_at`` names the one predicate (of a
-    mutually exclusive set) that holds at an index, or None for none of them,
-    so one pass decides them all and stops at the first disagreement.
 
-    ``monotone`` says that the tags, in their natural order, are monotone in
-    ``n``: then every index between two with the same tag has that tag too,
-    and the two ends of the window decide it.
+def _window(cell, join, depth: int, floor: int, monotone: bool = False):
+    """The suffix window ``[w, depth]`` and its state: ``(state, w)``.
 
-    With ``runs``, ``tag_at(n)`` returns ``(tag, start)``, ``start <= n``,
-    with that tag at every index of ``[start, n]``, and the scan goes on
-    from ``start - 1``.
+    The window grows down from ``depth`` while ``join(state, c)``, the state
+    widened by the next cell ``c``, is not None, and stops once ``w <=
+    floor``: a ``w`` above ``floor`` is the window's exact start.  ``cell(n)``
+    is ``(c, start)``, with the cell ``c`` at every index of the run
+    ``[start, n]`` (``start = n`` for a cell of one index), and the window
+    takes a whole run in one step.  The state at ``depth`` is its cell; a
+    None one is no window.
+
+    ``monotone`` says that the window reaches ``n`` exactly when ``join(state
+    at depth, cell(n))``, then its state, is not None, and that the indices
+    it reaches are a suffix: a tag monotone in ``n``, or the hull of
+    nondecreasing cells.  Then ``floor`` is read first, and a bisection
+    finds ``w`` only when the window does not reach it.
     """
-    half = depth // 2
-    if runs:
-        tag, start = tag_at(depth)
-        if monotone:
-            return tag if start <= half or tag_at(half)[0] is tag else undetermined
-        while start > half:
-            other, start = tag_at(start - 1)
-            if other is not tag:
-                return undetermined
-        return tag
-    tag = tag_at(depth)
-    if tag is None:
-        return undetermined
-    lower = (half,) if monotone else range(depth - 1, half - 1, -1)
-    for n in lower:
-        if tag_at(n) is not tag:
-            return undetermined
-    return tag
+    state, w = cell(depth)
+    if state is None:
+        return None, depth
+    low = floor  # a monotone window starts in [low, w], or below floor
+    while low < w:
+        if not monotone:
+            n = w - 1
+        else:
+            n = floor if low == floor else (low + w) // 2
+        c, start = cell(n)
+        joined = join(state, c)
+        if joined is not None:
+            state, w = joined, start
+        elif monotone:
+            low = n + 1
+        else:
+            break
+    return state, w
 
 
 def classify(a, depth: int = DEFAULT_DEPTH, probes: int = DEFAULT_PROBES) -> ClassTag:
@@ -590,7 +593,8 @@ def classify(a, depth: int = DEFAULT_DEPTH, probes: int = DEFAULT_PROBES) -> Cla
 
 
 def _classify(a: Hyperreal, depth: int, probes: int, scale: int) -> ClassTag:
-    """``classify`` with the bracket, if any, read at ``2^scale``.
+    """``classify`` with the bracket, if any, read at ``2^scale``: the tag
+    of ``[depth//2, depth]`` from one ``_window`` scan with the same-tag join.
 
     ``|a(n)|`` lies in ``[low, high] / 2^scale``, and the tag grows with
     ``|a(n)|``, so the tags of ``low`` and ``high`` agreeing decide the tag
@@ -598,8 +602,8 @@ def _classify(a: Hyperreal, depth: int, probes: int, scale: int) -> ClassTag:
     the exact value is read, for that index alone.
 
     For a form ``(c, e)``, ``|a(n)| = |c| (n+1)^e`` is monotone in ``n``, so
-    its tag is too, and the window's two ends decide it.  So does a monotone
-    sequence's ``|a(n)| = a(n)``.
+    its tag is too, and so is a monotone sequence's: the scan is monotone,
+    and the window's two ends decide it.
     """
     def tag_of(p, q):  # the tag of p/q, q > 0
         p = abs(p)
@@ -610,21 +614,21 @@ def _classify(a: Hyperreal, depth: int, probes: int, scale: int) -> ClassTag:
         return ClassTag.APPRECIABLE
 
     pair = a.pair
-    monotone = a.form is not None
     bracket = a.bracket
-    if bracket is None or monotone:
-        return _half_window_tag(lambda n: tag_of(*pair(n)), depth, ClassTag.UNDETERMINED,
-                                monotone)
-    one = 1 << scale
+    if bracket is None or a.form is not None:
+        cell = lambda n: (tag_of(*pair(n)), n)
+    else:
+        one = 1 << scale
 
-    def tag_at(n):
-        lo, hi, start = bracket(n, scale)
-        tag = tag_of(max(lo, -hi, 0), one)
-        if tag is tag_of(max(-lo, hi), one):
-            return tag, start
-        return tag_of(*pair(n)), n
+        def cell(n):
+            lo, hi, start = bracket(n, scale)
+            tag = tag_of(max(lo, -hi, 0), one)
+            if tag is tag_of(max(-lo, hi), one):
+                return tag, start
+            return tag_of(*pair(n)), n
 
-    return _half_window_tag(tag_at, depth, ClassTag.UNDETERMINED, a.monotone, True)
+    tag, w = _window(cell, _same, depth, depth // 2, a.form is not None or a.monotone)
+    return tag if 2 * w <= depth else ClassTag.UNDETERMINED
 
 
 def shadow(a, tolerance, depth: int = DEFAULT_DEPTH) -> Interval:
@@ -638,9 +642,10 @@ def shadow(a, tolerance, depth: int = DEFAULT_DEPTH) -> Interval:
     the grid ``2^-k`` is the cell: it holds ``a(n)`` all the same.  A partial
     sum's bracket is under ``(depth + 1) / 2^f <= 2^-(k+3)`` wide there, so
     its cell is at most one grid step wider than the exact cell on either
-    side, and the window may stop earlier.  The Cauchy window grows down from
-    ``depth`` while the hull ``[LO, HI]`` of its cells spans at most
-    ``tolerance/2``, and it must reach ``depth/2``.  The returned interval
+    side, and the window may stop earlier.  The Cauchy window is one
+    ``_window`` scan down to index 0 whose join, the hull ``[LO, HI]`` of the
+    cells, stops it once the hull spans more than ``tolerance/2``; it must
+    reach ``depth/2``.  The returned interval
     ``[HI/2^k - tolerance, LO/2^k + tolerance]`` holds
     ``[a(n) - tolerance/2, a(n) + tolerance/2]`` for every ``n`` in the window,
     so drift beyond the inspected depth of up to tolerance/2 stays covered.
@@ -668,52 +673,23 @@ def shadow(a, tolerance, depth: int = DEFAULT_DEPTH) -> Interval:
         def cell(n):
             p, q = pair(n)
             m = (p << k) // q
-            return m, m + 1, n
+            return (m, m + 1), n
     else:
         shift = fine - k
 
         def cell(n):
             lo, hi, start = bracket(n, fine)
-            return lo >> shift, -(-hi >> shift), start
+            return (lo >> shift, -(-hi >> shift)), start
 
-    lo, hi, w = _hull_window(cell, depth, max_spread, a.monotone)
+    def hull(state, c):
+        lo, hi = min(state[0], c[0]), max(state[1], c[1])
+        return (lo, hi) if hi - lo <= max_spread else None
+
+    (lo, hi), w = _window(cell, hull, depth, 0, a.monotone)
     if 2 * w > depth:
         raise NotConvergentAtDepth(
             f"no Cauchy window at tolerance {tolerance} within depth {depth}")
     return Interval(Fraction(hi, 1 << k) - tolerance, Fraction(lo, 1 << k) + tolerance)
-
-
-def _hull_window(cell, depth: int, max_spread: int, monotone: bool):
-    """``shadow``'s hull ``(lo, hi)`` and window start ``w``: the scan steps
-    down from ``depth`` while the hull of the cells spreads at most
-    ``max_spread``.  ``cell(n)`` is ``(cell_lo, cell_hi, start)``, with that
-    cell at every index of the run ``[start, n]``.
-
-    An equal cell does not change the hull, so the scan takes a whole run or
-    stops at its top.  Monotone cells are nondecreasing, so the hull of
-    ``[n, depth]`` is ``(cell_lo(n), cell_hi(depth))``; its spread grows as
-    ``n`` falls, and a bisection finds the least ``n`` the scan reaches.
-    """
-    lo, hi, start = cell(depth)
-    if monotone:
-        low, w = 0, depth  # the window starts in [low, w]; lo is cell_lo(w)
-        while low < w:
-            mid = (low + w) // 2
-            cell_lo = cell(mid)[0]
-            if hi - cell_lo <= max_spread:
-                w, lo = mid, cell_lo
-            else:
-                low = mid + 1
-        return lo, hi, w
-    w, cell_lo, cell_hi = depth, lo, hi
-    while True:  # the run [start, w - 1] ([start, depth] at first) has this cell
-        new_lo, new_hi = min(lo, cell_lo), max(hi, cell_hi)
-        if new_hi - new_lo > max_spread:
-            return lo, hi, w
-        lo, hi, w = new_lo, new_hi, start
-        if not start:
-            return lo, hi, w
-        cell_lo, cell_hi, start = cell(start - 1)
 
 
 def hyper_floor(a) -> Hyperinteger:
@@ -823,4 +799,5 @@ def arch_compare(a, b, depth: int = DEFAULT_DEPTH,
                      or all(pb(n)[0] == 0 for n in window))
     if zero_tail:
         raise ZeroTailAtDepth("an operand is zero on the whole inspected suffix")
-    return _half_window_tag(tag_at, depth, ArchClass.UNDETERMINED, monotone)
+    tag, w = _window(lambda n: (tag_at(n), n), _same, depth, depth // 2, monotone)
+    return tag if 2 * w <= depth else ArchClass.UNDETERMINED

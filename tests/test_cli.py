@@ -380,6 +380,33 @@ class TestDeterminismAndExitCodes:
         assert f"goldbach --limit {limit}: limits above 10^10 are refused" in captured.err
         assert "would print more than 4300 digits" in captured.err
 
+    @pytest.mark.parametrize("argv,want,message", [
+        # used to allocate a depth-sized array: MemoryError
+        (["sieve", "--depth", str(10 ** 12), "--steps", "1"], 0, ""),
+        (["sieve", "--steps", "10001"], 2,
+         "hyperline: error: sieve --steps 10001: steps above 10^4 are refused\n"),
+        (["sieve", "--depth", str(10 ** 18 + 1), "--steps", "1"], 2,
+         f"hyperline: error: sieve --depth {10 ** 18 + 1}: depths above 10^18 are refused\n"),
+        # used to read every exact partial sum up to 10^8: MemoryError
+        (["extsum", "--series", "harmonic", "--depth", str(10 ** 8)], 2,
+         "hyperline: error: extsum --depth 100000000: depths above 50000 are refused\n"),
+        (["extsum", "--series", "pser(2)", "--depth", str(10 ** 8)], 2,
+         "hyperline: error: extsum --depth 100000000: depths above 50000 are refused\n"),
+        # used to print CPython's set_int_max_str_digits hint
+        (["sieve", "--depth", "100000", "--steps", "10000"], 2,
+         "error: sieve --depth 100000 --steps 10000: residual would print more than "
+         "4300 digits\n"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_work_is_bounded(self, capsys, argv, want, message):
+        start = time.perf_counter()
+        code = run(argv)
+        assert time.perf_counter() - start < 5
+        captured = capsys.readouterr()
+        assert code == want
+        assert captured.err.endswith(message) and "Traceback" not in captured.err
+        if want == 0:
+            assert captured.err == "" and json.loads(captured.out)["removed_bases"] == [2]
+
     def test_goldbach_sum_past_the_digit_cap_is_refused(self, capsys, monkeypatch):
         # the denominator of partial_sum(1000) has 18 digits
         monkeypatch.setattr(cli, "_MAX_DIGITS", 17)

@@ -1,3 +1,4 @@
+import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -213,6 +214,17 @@ class TestEulerSieve:
                 value *= step.base
             gap = step.contribution - covered
             assert 0 < gap <= step.tail
+
+    def test_deep_sieve_allocates_only_the_covered_powers(self):
+        # the covered values are the powers of the chosen bases, not [0, depth]
+        tracemalloc.start()
+        try:
+            report = euler_sieve(10 ** 18, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.removed_bases[:8] == [2, 3, 5, 6, 7, 10, 11, 12]
+        assert peak < 1 << 20
 
     def test_depth_too_small(self):
         with pytest.raises(DepthTooSmall):

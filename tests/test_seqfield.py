@@ -307,6 +307,84 @@ class TestHalfWindowScans:
             _outcome(reference_arch_compare, a, b, depth)
 
 
+def _hull_join(max_spread):
+    def join(state, c):
+        lo, hi = min(state[0], c[0]), max(state[1], c[1])
+        return (lo, hi) if hi - lo <= max_spread else None
+    return join
+
+
+@st.composite
+def run_cells(draw, hull, monotone):
+    """Cells ``(c, start)`` for ``0..depth`` in runs of equal cells, each
+    index reporting a start inside its run; nondecreasing when monotone."""
+    depth = draw(st.integers(1, 60))
+    cells, lo, hi, tag = [], 0, 0, 0
+    while len(cells) <= depth:
+        if hull and monotone:  # cells at most 3 wide, with both ends nondecreasing
+            lo += draw(st.integers(0, 3))
+            hi = max(hi, lo + draw(st.integers(0, 3)))
+            c = (lo, hi)
+        elif hull:
+            lo = draw(st.integers(-8, 8))
+            c = (lo, lo + draw(st.integers(0, 3)))
+        elif monotone:
+            tag += draw(st.integers(0, 1))
+            c = tag
+        else:
+            c = draw(st.sampled_from([0, 1, 2, None]))
+        first = len(cells)
+        for _ in range(draw(st.integers(1, 12))):
+            cells.append((c, draw(st.integers(first, len(cells)))))
+    return cells[:depth + 1]
+
+
+def reference_window(cells, join, floor):
+    """``_window`` by a walk of every index: the true window start ``W`` and
+    the state of each window ``[n, depth]``, ``n >= W``."""
+    depth = len(cells) - 1
+    states = {depth: cells[depth][0]}
+    n = depth
+    while states[n] is not None and n > 0:
+        joined = join(states[n], cells[n - 1][0])
+        if joined is None:
+            break
+        n -= 1
+        states[n] = joined
+    return n, states
+
+
+class TestWindow:
+    """The one suffix scan against a walk of every index."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(data=st.data(), hull=st.booleans(), monotone=st.booleans(),
+           half=st.booleans(), max_spread=st.integers(3, 10))
+    def test_window_matches_an_index_by_index_walk(self, data, hull, monotone,
+                                                    half, max_spread):
+        cells = data.draw(run_cells(hull, monotone))
+        depth = len(cells) - 1
+        floor = depth // 2 if half else 0
+        join = _hull_join(max_spread) if hull else sf._same
+        reads = []
+        state, w = sf._window(lambda n: reads.append(n) or cells[n], join, depth, floor,
+                              monotone)
+        start, states = reference_window(cells, join, floor)
+        if start > floor or states[depth] is None:
+            assert (state, w) == (states[start], start)
+        else:  # a run may carry the window past floor
+            assert start <= w <= floor and state == states[w]
+        assert reads[0] == depth
+        if not monotone:  # each read is the index just below the last run
+            assert all(n == cells[m][1] - 1 for m, n in zip(reads, reads[1:]))
+        elif len(reads) > 1:  # floor first, then a bisection
+            assert reads[1] == floor and len(reads) <= 2 + depth.bit_length()
+
+    def test_a_none_cell_at_depth_is_no_window(self):
+        assert sf._window(lambda n: (None, 0), sf._same, 4, 2) == (None, 4)
+        assert sf._window(lambda n: (None, 0), sf._same, 4, 2, True) == (None, 4)
+
+
 class TestShadowSoundness:
     @given(limit=st.fractions(min_value=-10, max_value=10, max_denominator=1000),
            scale=st.fractions(min_value=-5, max_value=5, max_denominator=50),
