@@ -34,11 +34,22 @@ _SOFT_ERRORS = (ClassUndetermined, ConvergenceUnknown, NotConvergentAtDepth,
 _MAX_DIGITS = 4300
 _MAX_BITS = (10 ** _MAX_DIGITS).bit_length() - 1
 _MAX_GOLDBACH_LIMIT = 10 ** 10
-# Work bounds: at the caps, sieve takes about 2 s and extsum --series harmonic,
-# whose divergence probe reads every exact partial sum, about 2 s and 0.5 GB.
+# Work bounds: at the caps, sieve takes about 0.8 s, and extsum --series
+# harmonic, whose divergence probe reads brackets, about 0.1 s and 20 MB.  A
+# certified series whose tables would floor more than 2^28 bits of terms
+# (extsum.table_work) is refused too; geom(199/200) at depth 4096, just
+# below, takes about 0.5 s.
 _MAX_SIEVE_STEPS = 10 ** 4
 _MAX_SIEVE_DEPTH = 10 ** 18
 _MAX_EXTSUM_DEPTH = 5 * 10 ** 4
+_MAX_TABLE_WORK = 1 << 28
+# hermite m: the expansion of degree N = (n+1)p - 1 takes about n N big-integer
+# steps, which hermite_M_min_bits, 0 for a small p, does not bound: n N = 80200
+# (--n 200 --p 2) took 0.24 s, 180300 (--n 300 --p 2) 1.3 s, 500500 7.6 s
+_MAX_EXPANSION = 1 << 17
+# hermite cert: at degree 3 a search starting where hermite_M_min_bits is
+# about 87000 took 0.9 s and 150 MB, and 160000 (5000,1,1,-1) 2.4 s and 410 MB
+_MAX_CERT_BITS = 1 << 17
 
 
 def parse_rational(text: str) -> Fraction:
@@ -87,26 +98,47 @@ def _depth(text: str) -> int:
     return value
 
 
-def _pser_exponent(text: str):
-    """The ``k`` of a ``pser(k)``, alone or inside ``alt(...)``, else None."""
+def _leaf(text: str):
+    """The name and argument of the series under any ``alt(...)``, or
+    ``(None, None)``."""
     match = extsum._CALL.match(text)
     while match and match.group(1) == "alt" and match.group(2) is not None:
         match = extsum._CALL.match(match.group(2))
-    if match and match.group(1) == "pser" and match.group(2) is not None:
-        try:
-            return int(match.group(2))
-        except ValueError:
-            return None
-    return None
+    return match.groups() if match else (None, None)
+
+
+def _ratio_prints(text: str) -> bool:
+    """Whether a ``geom`` ratio's label prints.  A digit run or a decimal
+    exponent above _MAX_DIGITS is refused unread: Fraction would refuse the
+    one with CPython's hint and spend seconds on 10^exponent for the other.
+    Past them the ratio has at most 2 * _MAX_DIGITS digits and is built."""
+    if any(len(run) - run.count("_") > _MAX_DIGITS for run in re.findall(r"\d[\d_]*", text)):
+        return False
+    exponent = re.search(r"[eE][+-]?(\d[\d_]*)", text)
+    if exponent and int(exponent.group(1)) > _MAX_DIGITS:
+        return False
+    try:
+        ratio = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return True  # parse_series says what is wrong with it
+    return max(abs(ratio.numerator), ratio.denominator) < 10 ** _MAX_DIGITS
 
 
 def _series(text: str) -> extsum.SeriesSpec:
     too_big = f"series {text!r}: eta_interval would print more than {_MAX_DIGITS} digits"
+    name, arg = _leaf(text)
+    if name == "geom" and arg is not None and not _ratio_prints(arg):
+        raise argparse.ArgumentTypeError(
+            f"series {text!r}: its ratio would print more than {_MAX_DIGITS} digits")
     # pser(k)'s tail bound at index m is 1/((k-1) (m+1)^(k-1)), m >= 127, so its
     # grid needs at least 7 (k-1) bits: refuse before that power is built
-    k = _pser_exponent(text)
-    if k is not None and 7 * (k - 1) > _MAX_BITS:
-        raise argparse.ArgumentTypeError(too_big)
+    if name == "pser" and arg is not None:
+        try:
+            exponent = int(arg)
+        except ValueError:
+            exponent = 0  # parse_series refuses it
+        if 7 * (exponent - 1) > _MAX_BITS:
+            raise argparse.ArgumentTypeError(too_big)
     try:
         spec = extsum.parse_series(text)
         # eta_interval adds one interval per signed part, each on the grid
@@ -129,14 +161,23 @@ def _check_output_size(parser, args):
     the capped factorial, so a huge n costs nothing, and a `goldbach` limit
     above _MAX_GOLDBACH_LIMIT, before any perfect power is enumerated: the
     partial sum's denominator already has more than 4300 digits at 3*10^9.
-    Also refuse a `sieve` or `extsum` past its work bounds."""
-    depth = getattr(args, "depth", 0)  # unset: a default below every cap
+    Also refuse a `sieve` or `extsum` past its work bounds, among them a
+    series whose bracket tables would floor more than _MAX_TABLE_WORK bits
+    of terms at `shadow`'s scale (`extsum.table_work`), and a `hermite
+    cert` whose search would start where the Hermite integers pass
+    _MAX_CERT_BITS bits."""
+    depth = getattr(args, "depth", 0)  # unset only where no cap reads it
     if args.command == "sieve" and args.steps > _MAX_SIEVE_STEPS:
         parser.error(f"sieve --steps {args.steps}: steps above 10^4 are refused")
     if args.command == "sieve" and depth > _MAX_SIEVE_DEPTH:
         parser.error(f"sieve --depth {depth}: depths above 10^18 are refused")
     if args.command == "extsum" and depth > _MAX_EXTSUM_DEPTH:
         parser.error(f"extsum --depth {depth}: depths above 50000 are refused")
+    if args.command == "extsum" and extsum.table_work(
+            args.series, depth, seqfield.shadow_scale(args.tolerance, depth),
+            _MAX_TABLE_WORK) > _MAX_TABLE_WORK:
+        parser.error(f"extsum --series {args.series.label} --depth {depth}: its partial "
+                     f"sums would floor more than 2^28 bits of terms")
     if args.command == "goldbach" and args.limit > _MAX_GOLDBACH_LIMIT:
         parser.error(f"goldbach --limit {args.limit}: limits above 10^10 are refused, "
                      f"partial_sum would print more than {_MAX_DIGITS} digits")
@@ -144,12 +185,35 @@ def _check_output_size(parser, args):
         if hermite.hermite_M_min_bits(args.n, args.p) > _MAX_BITS + 1:
             parser.error(f"hermite m --n {args.n} --p {args.p}: "
                          f"M would print more than {_MAX_DIGITS} digits")
+        if args.n * ((args.n + 1) * args.p - 1) > _MAX_EXPANSION:
+            parser.error(f"hermite m --n {args.n} --p {args.p}: n times the degree "
+                         f"(n+1)p - 1 above 2^17 is refused")
+    if args.command == "hermite" and args.hermite_command == "cert" and \
+            _cert_start_bits(args) > _MAX_CERT_BITS:
+        parser.error(f"hermite cert --coeffs {args.coeffs}: the Hermite integers "
+                     f"at the first prime would pass 2^17 bits")
     if args.command == "liouville":
         try:
             hermite._capped_factorial(args.n + 1, _MAX_DIGITS)
         except ValueError:
             parser.error(f"liouville --n {args.n}: error_interval would "
                          f"print more than {_MAX_DIGITS} digits")
+
+
+def _cert_start_bits(args) -> int:
+    """``hermite_M_min_bits`` just above where the prime search starts, an
+    estimate of the size of the Hermite integers at the first prime: it is
+    not monotone in p, and dips by up to a third past a power of two.  It is
+    0 for coefficients that do not parse (the search reports them) and for a
+    start at the prime cap, where no prime is tried."""
+    try:
+        coefficients = [parse_rational(c) for c in args.coeffs.split(",")]
+    except ValueError:
+        return 0
+    start = hermite.search_start(coefficients, args.p_cap)
+    if start >= args.p_cap:
+        return 0
+    return hermite.hermite_M_min_bits(len(coefficients) - 1, start + 1)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -400,10 +464,10 @@ def run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(_attach_negative_values(argv))
+        _apply_defaults(args)
         _check_output_size(parser, args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    _apply_defaults(args)
     try:
         doc = _run_command(args)
     except SearchExhausted as exc:

@@ -91,8 +91,8 @@ class SeriesSpec:
     nonnegative ``geom`` are one-signed, a negative ``geom`` bounds the
     absolute tail by ``|r|^(k+2) / (1 - |r|)``, and ``alt(...)`` reuses the
     bound of the absolute terms.  ``powers_recip`` rests on
-    ``goldbach.tail_bound``, whose factor 2 is checked exactly only for
-    ``L < 2*10^5``.  The ``i``-th perfect power is at most ``(i+2)^2``, so
+    ``goldbach.tail_bound``, checked exactly for ``L < 2*10^5`` and proved
+    above.  The ``i``-th perfect power is at most ``(i+2)^2``, so
     its bound at index ``i`` exceeds ``2/(i+3)``, which at ``i <= depth``
     is above ``2^-(bits(depth) + 3)``: its brackets never freeze at the
     scales ``shadow`` and ``classify`` read.  Its partial sums are monotone
@@ -219,8 +219,7 @@ def partial_sums(spec: SeriesSpec) -> Hyperreal:
             with lock:  # the check index only grows past indices that failed
                 while scale[2] is None and scale[1] <= n:
                     i = scale[1]
-                    b, d = bound(i)
-                    if b >= 0 and b << k < d:  # 0 <= b/d < 2^-k
+                    if _frozen(bound(i), k):
                         lo = table(i) - below
                         scale[2] = (i, (lo, lo + i + 2, i + 1))
                     else:
@@ -235,6 +234,46 @@ def partial_sums(spec: SeriesSpec) -> Hyperreal:
                      bracket=bracket)
     sums.monotone = spec.pattern == NONNEG
     return sums
+
+
+def _frozen(tail: Pair, k: int) -> bool:
+    """The freeze rule of ``partial_sums``: ``0 <= T(i) < 2^-k``, with
+    ``tail`` the pair ``(b, d)`` of ``T(i) = b/d``."""
+    b, d = tail
+    return b >= 0 and b << k < d
+
+
+def table_work(spec: SeriesSpec, depth: int, k: int, cap: int) -> int:
+    """An estimate of the work of reading ``spec``'s flat-sum brackets at
+    scale ``k`` up to ``depth``: the extent of the table that floors its
+    terms, times the bits of the term pair there, which is at least the
+    bits of every pair floored before it when the pairs grow with the index.
+
+    The extent is where ``partial_sums`` freezes the table: the first ``i``
+    of 1, 2, 4, ... with ``_frozen(tail_pair(i), k)``, and at most
+    ``depth``.  A split series is read as its halves, and the DSL's split
+    series alternate in sign: a half's ``j``-th term is the series' term
+    ``2j`` or ``2j + 1``, and its bound there is at most the series' bound
+    at ``2j``.  So the halves freeze by the first ``i`` with
+    ``_frozen(tail_pair(2i), k)``, having floored the series' terms up to
+    ``2i + 1``, where the pair is read.  The pairs are read at the doubling
+    indices, and the estimate stops once it passes ``cap``, so its own
+    reads stay small.  A series without a certificate has no such table:
+    ``flat_sum`` refuses a split one at once and reads a one-signed one only
+    through the divergence probe, which stops at its first witness; its
+    estimate is 0.
+    """
+    if spec.tail_pair is None:
+        return 0
+    stride = 2 if spec.pattern == SPLIT else 1
+    i = 1
+    while True:
+        n = stride * min(i, depth) + stride - 1
+        p, q = spec.pair(n)
+        work = n * (p.bit_length() + q.bit_length())
+        if work > cap or i >= depth or _frozen(spec.tail_pair(stride * i), k):
+            return work
+        i *= 2
 
 
 @dataclass(frozen=True)
@@ -349,12 +388,23 @@ def flat_sum(spec: SeriesSpec, depth: int = DEFAULT_DEPTH,
         sign = -1 if spec.pattern == NONNEG else 1
         return ExtSumResult(DedekindNumber(sums, sign, EPS_IDEM), interval, False)
 
+    # |a(n)| never falls, so it reaches the probe by depth exactly when it
+    # does at depth; the brackets at n = 0, 1, 3, 7, ..., depth, each under
+    # one unit wide at scale k, find an early witness with no exact sum
+    # unless one straddles the probe
     probe = Fraction(divergence_probe)
-    for n in range(depth + 1):
-        value = sums.at(n)
-        if (spec.pattern == NONNEG and value >= probe) or \
-                (spec.pattern == NONPOS and value <= -probe):
+    k = depth.bit_length() + 1
+    sign = 1 if spec.pattern == NONNEG else -1
+    target = probe * (1 << k)
+    n = 0
+    while True:
+        lo, hi, _ = sums.bracket(n, k)
+        lo, hi = (lo, hi) if sign > 0 else (-hi, -lo)
+        if lo >= target or (hi >= target and sign * sums.at(n) >= probe):
             return ExtSumResult(embed(sums), None, True)
+        if n == depth:
+            break
+        n = min(2 * n + 1, depth)
     raise ConvergenceUnknown(
         f"{spec.label}: no certificate and no divergence witness "
         f"(probe {divergence_probe}, depth {depth})")

@@ -86,13 +86,30 @@ def partial_sum(limit: int) -> Fraction:
 
 
 def tail_bound(limit: int) -> Fraction:
-    """Certified bound on the sum of 1/(k-1) over perfect powers k > limit.
+    """Certified bound 1/s + 1/(s+1), s = isqrt(L), on the sum of 1/(k-1)
+    over the perfect powers k > L = limit.
 
-    Bases above s = isqrt(limit) contribute at most 2/(m^2-1) each, and the
-    telescoping sum of 2/(m^2-1) over m > s is 1/s + 1/(s+1); the factor 2
-    is meant to absorb the higher powers of every base, which is not proven.
     As the whole sum is 1, the tests check 0 < 1 - partial_sum(L) <= bound
-    exactly for every L in [4, 2*10^5).
+    exactly for every L in [4, 2*10^5).  For L >= 2*10^5 it is proved.
+    Each perfect power is m^e, e >= 2, for one non-power m (see
+    ``euler_sieve``); split by m, with t = floor(L^(1/3)):
+
+    - m > s: every m^e >= m^2 > L counts.  As m^e - 1 >= m^(e-2) (m^2 - 1),
+      they add at most m/((m-1)(m^2-1)) = 1/(m^2-1) + 1/((m-1)^2 (m+1)).
+      Over m > s the first part telescopes, 1/(m^2-1) = (1/(m-1) -
+      1/(m+1))/2, to (1/s + 1/(s+1))/2.  The second is at most
+      (s+1)/s * 1/((m-1) m (m+1)), which telescopes to at most 1/(2 s^2).
+    - t < m <= s: m^2 <= L < m^3, so e >= 3 and, as above, the powers add
+      at most 2/(m^3-1) <= 16/(7 m^3); over m > t, at most 8/(7 t^2).
+    - m <= t: with m^f the least power above L, the powers add at most
+      2/(m^f - 1) <= 2/L each, and at most 2 (t-1)/L < 2/t^2 for all.
+
+    So the tail is at most the bound less 1/(s+1) - 1/(2 s^2) - 22/(7 t^2),
+    as (1/s + 1/(s+1))/2 >= 1/(s+1).  At L >= 2*10^5, s >= 447 and t >= 58,
+    so 1/(s+1) - 1/(2 s^2) >= 0.998/(s+1) >= 0.995 L^(-1/2), and
+    t >= L^(1/3) - 1 >= (57/58) L^(1/3) gives 22/(7 t^2) <= 3.26 L^(-2/3).
+    That is below 0.995 L^(-1/2) once L^(1/6) > 3.28, from L = 1250 on.
+    (The true tail was 0.51 to 0.56 of the bound from L = 10^4 to 10^10.)
     """
     if limit < 4:
         raise ValueError("limit must be >= 4")
@@ -156,37 +173,48 @@ def euler_sieve(depth: int, steps: int) -> SieveReport:
     """Run the Euler sieve on the harmonic range {1..depth}.
 
     Each step picks the smallest integer in [2, depth] not yet covered by a
-    previous base's powers (necessarily not a perfect power), removes its
-    whole geometric series, and records the exact contribution 1/(m-1) and a
-    bound on the tail truncated beyond depth.  The residual is H(depth) less
-    the contributions and the untouched terms, that is 1 plus the covered
-    terms less the contributions; widened by the tails it must contain 1.
+    previous base's powers, removes its whole geometric series, and records
+    the exact contribution 1/(m-1) and a bound on the tail truncated beyond
+    depth.  The residual is H(depth) less the contributions and the
+    untouched terms, that is 1 plus the covered terms less the
+    contributions; widened by the tails it must contain 1.  Two identities
+    make that a walk over the non-powers with no table of covered values.
+
+    *The bases are the non-powers in increasing order.*  Every c >= 2 is
+    m^e for exactly one non-power m >= 2 and e >= 1: with g the gcd of the
+    exponents of c's prime factorization, c = m^g where m's exponents have
+    gcd 1, so m is no power; and c = r^f with r a non-power gives those
+    exponents as f times r's, whose gcd is 1, so f = g and r = m.  Say the
+    bases so far are the non-powers up to b.  A non-power c above b is m^e
+    only as c^1, so no base covers it.  A perfect power c up to depth, below
+    the next non-power above b, is m^e with m < c a non-power, so m <= b is
+    a base and covers c.  So the next base is the least non-power above b:
+    the walk skips exactly the perfect powers, read by ``is_perfect_power``.
+
+    *One reciprocal sum for the residual.*  With m^E the largest power of
+    m up to depth, sum_{e=1..E} m^-e = (1 - m^-E)/(m-1) = 1/(m-1) -
+    1/((m-1) m^E).  So the covered terms less the contributions are
+    -sum 1/((m-1) m^E) over the bases, the residual is
+    1 - sum 1/((m-1) m^E), and the slack is the sum of the tails
+    1/((m-1) m^(E-1)), each m times the truncated tail 1/((m-1) m^E).
     """
     if steps < 1 or depth < steps:
         raise ValueError("need depth >= steps >= 1")
-    covered = set()  # the powers of the chosen bases, O(steps log depth) of them
-    covered_values: List[int] = []
     sieve_steps: List[SieveStep] = []
-    candidate = 2
+    m = 1
     for _ in range(steps):
-        while candidate <= depth and candidate in covered:
-            candidate += 1
-        if candidate > depth:
+        m += 1
+        while m <= depth and is_perfect_power(m):
+            m += 1
+        if m > depth:
             raise DepthTooSmall(f"only {len(sieve_steps)} bases fit below {depth}")
-        m = candidate
-        value = m
-        largest_exp = 0
-        while value <= depth:
-            covered.add(value)
-            covered_values.append(value)
-            largest_exp += 1
-            value *= m
-        contribution = Fraction(1, m - 1)
-        tail = Fraction(1, (m - 1) * m ** (largest_exp - 1))
-        sieve_steps.append(SieveStep(m, contribution, tail))
-    contributions = sum((s.contribution for s in sieve_steps), Fraction(0))
-    residual = 1 + _sum_reciprocals(covered_values) - contributions
-    slack = sum((s.tail for s in sieve_steps), Fraction(0))
+        power = m  # m^E, the largest power of m up to depth
+        while power * m <= depth:
+            power *= m
+        tail = Fraction(1, (m - 1) * (power // m))
+        sieve_steps.append(SieveStep(m, Fraction(1, m - 1), tail))
+    residual = 1 - _sum_reciprocals(s.base * s.tail.denominator for s in sieve_steps)
+    slack = _sum_reciprocals(s.tail.denominator for s in sieve_steps)
     return SieveReport(
         steps=sieve_steps,
         removed_bases=[s.base for s in sieve_steps],

@@ -358,13 +358,22 @@ def _prime_from_json(value) -> int:
     return value
 
 
+def search_start(coefficients, p_cap: int = 10_000) -> int:
+    """``nonvanish_certificate`` tries the primes above this and up to
+    ``p_cap``: ``min(max(n, |scaled b_0|, common denominator), p_cap)``."""
+    b = [Fraction(c) for c in coefficients]
+    denom = lcm(*(c.denominator for c in b))
+    return min(max(len(b) - 1, abs(int(b[0] * denom)), denom), p_cap)
+
+
 def nonvanish_certificate(coefficients, p_cap: int = 10_000) -> HermiteCertificate:
     """Produce a verified positive lower bound on |sum b_k e^k|.
 
     Searches primes p above max(n, |scaled b_0|, common denominator) until
     the scaled epsilon total certifies below 1/2; then the integer part of
     the scaled combination is nonzero mod p, so its absolute value is at
-    least 1, giving |sum b_k e^k| >= 1/(2 * denom * |M_0|).
+    least 1, giving |sum b_k e^k| >= 1/(2 * denom * |M_0|).  A start at
+    ``p_cap`` leaves no prime to try, and none is looked for.
     """
     b = [Fraction(c) for c in coefficients]
     if len(b) < 2:
@@ -374,17 +383,14 @@ def nonvanish_certificate(coefficients, p_cap: int = 10_000) -> HermiteCertifica
     n = len(b) - 1
     denom = lcm(*(c.denominator for c in b))
     scaled = [int(c * denom) for c in b]
-    threshold = max(n, abs(scaled[0]), denom)
-    p = _next_prime(min(threshold, p_cap))
+    start = search_start(b, p_cap)
+    if start >= p_cap:
+        raise SearchExhausted(p_cap)
+    p = _next_prime(start)
     while p <= p_cap:
         m_values = hermite_Ms(n, p)
         m0 = m_values[0]
-        checks = {
-            "m0_nondivisible": (scaled[0] * m0) % p != 0,
-            "mk_divisible": all(m % p == 0 for m in m_values[1:]),
-        }
-        if all(checks.values()):  # the cheap checks before the squeeze
-            checks["eps_half"], total_bound = _certify_eps(n, p, scaled, m_values)
+        checks, total_bound = _checks(n, p, scaled, m_values)
         if checks.get("eps_half"):
             combination = sum(s * m for s, m in zip(scaled, m_values))
             if combination % p == 0:  # excluded by the two divisibility checks
@@ -401,6 +407,21 @@ def nonvanish_certificate(coefficients, p_cap: int = 10_000) -> HermiteCertifica
             )
         p = _next_prime(p)
     raise SearchExhausted(p_cap)
+
+
+def _checks(n: int, p: int, scaled: List[int],
+            m_values: List[int]) -> Tuple[Dict[str, bool], Fraction]:
+    """The checks of a certificate at ``p``, in order, and the epsilon total
+    bound (0 unless ``eps_half`` holds).  The squeeze ``eps_half`` runs only
+    when both cheap divisibility checks hold."""
+    checks = {
+        "m0_nondivisible": (scaled[0] * m_values[0]) % p != 0,
+        "mk_divisible": all(m % p == 0 for m in m_values[1:]),
+    }
+    if not all(checks.values()):
+        return checks, Fraction(0)
+    checks["eps_half"], bound = _certify_eps(n, p, scaled, m_values)
+    return checks, bound
 
 
 def _certify_eps(n: int, p: int, scaled: List[int],
@@ -453,16 +474,25 @@ def certificate_from_dict(doc: dict) -> HermiteCertificate:
         integer_combination=_from_decimal(doc["I"]),
         eps_total_bound=_fraction_from_text(doc["eps_bound"]),
         lower_bound=_fraction_from_text(doc["lower_bound"]),
-        checks=dict(doc["checks"]),
+        checks=_checks_from_json(doc["checks"]),
     )
+
+
+def _checks_from_json(value) -> Dict[str, bool]:
+    """The certificate's checks, which ``to_dict`` writes as an object of
+    booleans."""
+    if type(value) is not dict or any(type(v) is not bool for v in value.values()):
+        raise ValueError(f"checks must be an object of booleans, got {value!r:.60}")
+    return dict(value)
 
 
 def verify_certificate(cert: HermiteCertificate, digits: int = 60) -> bool:
     """Re-verify a certificate from its own fields.
 
-    Recomputes the Hermite integers, the divisibility checks, the epsilon
-    half-bound (the certificate's stated ``eps_total_bound`` must lie between
-    the recomputed bound and 1/2), the lower bound formula, and finally
+    Recomputes the Hermite integers, the checks (the certificate's stated
+    ``checks`` must equal them, all passed), the epsilon half-bound (the
+    certificate's stated ``eps_total_bound`` must lie between the
+    recomputed bound and 1/2), the lower bound formula, and finally
     confirms with a high-precision interval that |sum b_k e^k| really
     exceeds the bound.
 
@@ -487,12 +517,12 @@ def verify_certificate(cert: HermiteCertificate, digits: int = 60) -> bool:
         return False
     if sum(s * m for s, m in zip(scaled, m_values)) != cert.integer_combination:
         return False
-    if (scaled[0] * m_values[0]) % p == 0 or cert.integer_combination % p == 0:
+    if cert.integer_combination % p == 0:
         return False
-    if any(m % p for m in m_values[1:]):
+    checks, recomputed = _checks(n, p, scaled, m_values)
+    if cert.checks != checks or not checks.get("eps_half"):
         return False
-    eps_ok, recomputed = _certify_eps(n, p, scaled, m_values)
-    if not eps_ok or not recomputed <= cert.eps_total_bound < Fraction(1, 2):
+    if not recomputed <= cert.eps_total_bound < Fraction(1, 2):
         return False
     if cert.lower_bound != Fraction(1, 2 * cert.common_denominator * abs(m_values[0])):
         return False

@@ -631,6 +631,12 @@ def _classify(a: Hyperreal, depth: int, probes: int, scale: int) -> ClassTag:
     return tag if 2 * w <= depth else ClassTag.UNDETERMINED
 
 
+def shadow_scale(tolerance: Fraction, depth: int) -> int:
+    """The scale ``f = k + bits(depth) + 3`` at which ``shadow`` reads a
+    bracketed sequence, ``k`` the least integer with ``2^-k <= tolerance/8``."""
+    return grid_bits(tolerance / 8) + depth.bit_length() + 3
+
+
 def shadow(a, tolerance, depth: int = DEFAULT_DEPTH) -> Interval:
     """Certified interval of width <= 2*tolerance around the sequence limit.
 
@@ -659,8 +665,8 @@ def shadow(a, tolerance, depth: int = DEFAULT_DEPTH) -> Interval:
     a = make(a)
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    k = grid_bits(tolerance / 8)
-    fine = k + depth.bit_length() + 3
+    fine = shadow_scale(tolerance, depth)
+    k = fine - depth.bit_length() - 3
     if _classify(a, depth, DEFAULT_PROBES, fine) is ClassTag.UNLIMITED:
         raise UnlimitedValue(f"{a.label} classified unlimited at depth {depth}")
     if a.const_value is not None:

@@ -16,7 +16,7 @@ import sympy
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hyperline import cli, goldbach, hermite
+from hyperline import cli, extsum, goldbach, hermite, seqfield
 from hyperline.cli import eval_wat_expr, parse_rational, render, run
 
 F = Fraction
@@ -284,6 +284,7 @@ class TestDeterminismAndExitCodes:
         ["hermite", "cert", "--coeffs", "0,1"],
         ["sieve", "--steps", "1", "--depth", "1"],
         ["wat", "--expr", "1/0#"],
+        ["extsum", "--series", "geom(1e-20000)"],
     ], ids=" ".join)
     def test_bad_input_is_usage_error(self, capsys, argv):
         code = run(argv)
@@ -407,6 +408,63 @@ class TestDeterminismAndExitCodes:
         if want == 0:
             assert captured.err == "" and json.loads(captured.out)["removed_bases"] == [2]
 
+    @pytest.mark.parametrize("series", [
+        "geom(1e-20000)", "geom(1e-100000)", "geom(1e-1_000_000_000)", "geom(9999e4300)",
+        "alt(geom(-1/1" + "0" * 4300 + "))", "geom(1/" + "7" * 4301 + ")"],
+        ids=lambda v: v[:24])
+    def test_unprintable_geom_ratio_is_refused_by_name(self, capsys, series):
+        # it leaked CPython's set_int_max_str_digits hint; a huge exponent
+        # also took seconds to build 10^exponent
+        start = time.perf_counter()
+        code = run(["extsum", "--series", series])
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err and "set_int_max_str_digits" not in err
+        assert err.endswith(f"error: argument --series: series {series!r}: "
+                            "its ratio would print more than 4300 digits\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["extsum", "--series", "geom(999/1000)", "--depth", "20000"],
+        ["extsum", "--series", "geom(99999999999999999999/100000000000000000000)"],
+        ["extsum", "--series", "geom(-99999/100000)"],
+        ["extsum", "--series", "geom(9999999999/10000000000)"],
+        ["extsum", "--series", "alt(geom(999/1000))"],
+        ["extsum", "--series", "geom(9/10)", "--depth", "50000", "--tolerance", "1e-1000"],
+    ], ids=" ".join)
+    def test_slow_certified_series_is_refused(self, capsys, argv):
+        # geom ratios near 1, or a fine tolerance, freeze the bracket tables
+        # late, and the pairs grow by bits(b) per index: these ran 4 s to 46 s
+        start = time.perf_counter()
+        code = run(argv)
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        depth = argv[argv.index("--depth") + 1] if "--depth" in argv else "4096"
+        label = str(extsum.parse_series(argv[2]).label)
+        assert code == 2 and "Traceback" not in err
+        assert err.endswith(f"hyperline: error: extsum --series {label} --depth {depth}: "
+                            "its partial sums would floor more than 2^28 bits of terms\n")
+
+    @pytest.mark.parametrize("series", [
+        "geom(1/3)", "geom(12345678901234567890/98765432109876543210)", "powers_recip",
+        "pser(2)", "alt(pser(2))"])
+    def test_fast_series_at_the_depth_cap_are_admitted(self, capsys, series):
+        start = time.perf_counter()
+        code, out = capture(capsys, ["extsum", "--series", series, "--depth", "50000"])
+        assert time.perf_counter() - start < 5
+        assert code == 0 and json.loads(out)["eta_interval"] is not None
+
+    def test_table_work_estimate_stays_below_the_cap(self):
+        # the refusal's measure: extent times the bits of the pair there
+        scale = seqfield.shadow_scale(F(1, 10 ** 6), 4096)
+        assert scale == 23 + 13 + 3
+        work = extsum.table_work(extsum.parse_series("geom(99/100)"), 4096, scale, 1 << 28)
+        assert work == 4096 * (len(bin(99 ** 4097)) - 2 + len(bin(100 ** 4097)) - 2)
+        assert work <= cli._MAX_TABLE_WORK
+        # a split series' halves freeze by its bound at twice their index
+        work = extsum.table_work(extsum.parse_series("geom(-99/100)"), 4096, scale, 1 << 28)
+        assert work == 4097 * (len(bin(99 ** 4098)) - 2 + len(bin(100 ** 4098)) - 2)
+        assert extsum.table_work(extsum.harmonic_series(), 4096, scale, 1 << 28) == 0
+
     def test_goldbach_sum_past_the_digit_cap_is_refused(self, capsys, monkeypatch):
         # the denominator of partial_sum(1000) has 18 digits
         monkeypatch.setattr(cli, "_MAX_DIGITS", 17)
@@ -431,6 +489,38 @@ class TestDeterminismAndExitCodes:
              "--depth", "16"], env=env, capture_output=True, text=True, timeout=30)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["eta_interval"] == ["0", "0"]
+
+    @pytest.mark.parametrize("argv,message", [
+        (["hermite", "cert", "--coeffs", "5000,1,1,-1"],
+         "hermite cert --coeffs 5000,1,1,-1: the Hermite integers at the first prime "
+         "would pass 2^17 bits"),
+        (["hermite", "cert", "--coeffs", "1/7,-2/9,5/11,1/13"],
+         "hermite cert --coeffs 1/7,-2/9,5/11,1/13: the Hermite integers at the first "
+         "prime would pass 2^17 bits"),
+        (["hermite", "cert", "--coeffs", "9" * 60 + ",1", "--p-cap", "1" + "0" * 400],
+         f"hermite cert --coeffs {'9' * 60},1: the Hermite integers at the first prime "
+         "would pass 2^17 bits"),
+        (["hermite", "m", "--n", "300", "--p", "2"],
+         "hermite m --n 300 --p 2: n times the degree (n+1)p - 1 above 2^17 is refused"),
+        (["hermite", "m", "--n", str(2 ** 64), "--p", "17"],
+         f"hermite m --n {2 ** 64} --p 17: n times the degree (n+1)p - 1 above 2^17 "
+         "is refused"),
+    ], ids=lambda v: " ".join(v)[:40] if isinstance(v, list) else None)
+    def test_hermite_work_is_bounded(self, capsys, argv, message):
+        # 2.4 s and 410 MB, 8 s and 1.4 GB, a trial division past 10^60, 1.3 s,
+        # and an expansion of degree 17 * 2^64
+        start = time.perf_counter()
+        code = run(argv)
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert code == 2 and err.endswith(f"hyperline: error: {message}\n")
+
+    def test_negative_prime_cap_exhausts_at_once(self, capsys):
+        # the search counted up to the first prime from -10^40
+        start = time.perf_counter()
+        code = run(["hermite", "cert", "--coeffs", "11/2,-4,11", "--p-cap", "-" + "9" * 40])
+        assert time.perf_counter() - start < 1
+        assert code == 4 and "no qualifying prime" in capsys.readouterr().err
 
     def test_coefficient_beyond_prime_cap_exhausts_at_once(self, capsys):
         # b_0 = 10^400 puts the first prime far above the cap; no search runs

@@ -206,6 +206,96 @@ class TestFlatSum:
                 assert result.eta_interval.contains(limit)
 
 
+def linear_probe(spec, depth, probe):
+    """The per-index exact probe: every exact partial sum from index 0 on,
+    up to the first that reaches the probe."""
+    sums = partial_sums(spec)
+    for n in range(depth + 1):
+        value = sums.at(n)
+        if (spec.pattern == "nonneg" and value >= probe) or \
+                (spec.pattern == "nonpos" and value <= -probe):
+            return True
+    return False
+
+
+def _probe_verdict(spec, depth, probe):
+    try:
+        return flat_sum(spec, depth, divergence_probe=probe).divergent
+    except ConvergenceUnknown:
+        return False
+
+
+@st.composite
+def _uncertified_one_signed(draw):
+    """A one-signed series without a certificate: cyclic coefficients, zero
+    ones included, times r^n, from rational terms or from pairs."""
+    pattern = draw(st.sampled_from(["nonneg", "nonpos"]))
+    sign = -1 if pattern == "nonpos" else 1
+    coeffs = draw(st.lists(st.sampled_from([0, 1, 2, F(1, 3), F(2, 7), F(1, 64), F(5, 2)]),
+                           min_size=1, max_size=7))
+    r = draw(st.sampled_from([F(1), F(1), F(3, 2), F(1, 2), F(9, 10), F(21, 20)]))
+
+    def term(n):
+        return sign * coeffs[n % len(coeffs)] * r ** n
+
+    if draw(st.booleans()):
+        return SeriesSpec(term, pattern, None, "drawn")
+    return SeriesSpec.from_pairs(lambda n: term(n).as_integer_ratio(), pattern, None, "drawn")
+
+
+class TestDivergenceProbe:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_uncertified_one_signed(), st.integers(0, 300), st.data())
+    def test_matches_the_per_index_exact_probe(self, spec, depth, data):
+        # a probe at the sum at a drawn index puts the first witness anywhere,
+        # exact hits included
+        j = data.draw(st.integers(0, depth + 20), label="j")
+        probe = data.draw(st.sampled_from([1, 40, max(1, ceil(abs(partial_sums(spec).at(j))))]),
+                          label="probe")
+        assert _probe_verdict(spec, depth, probe) == linear_probe(spec, depth, probe)
+
+    @pytest.mark.parametrize("spec,hit", [
+        (geom(1), 63),
+        (SeriesSpec(lambda n: F(1, 3), "nonneg", None, "thirds"), 191),
+        (SeriesSpec(lambda n: F(-1, 3), "nonpos", None, "-thirds"), 191),
+    ], ids=lambda v: v.label if isinstance(v, SeriesSpec) else str(v))
+    def test_exact_hit(self, spec, hit):
+        # the partial sum at `hit` is exactly 64 in absolute value
+        assert abs(partial_sums(spec).at(hit)) == 64
+        assert flat_sum(spec, hit).divergent
+        assert linear_probe(spec, hit, 64)
+        with pytest.raises(ConvergenceUnknown, match=f"probe 64, depth {hit - 1}"):
+            flat_sum(spec, hit - 1)
+        assert not linear_probe(spec, hit - 1, 64)
+
+    @pytest.mark.parametrize("depth,reads", [(190, 0), (191, 192)])
+    def test_exact_sums_only_where_a_bracket_straddles(self, monkeypatch, depth, reads):
+        # at scale 9 the thirds' bracket at 191 is (32640, 32832), around
+        # 64 * 2^9 = 32768, and at 190 below it
+        counted = []
+        term_at = SeriesSpec.term_at
+        monkeypatch.setattr(SeriesSpec, "term_at",
+                            lambda spec, n: counted.append(n) or term_at(spec, n))
+        assert _probe_verdict(SeriesSpec(lambda n: F(1, 3), "nonneg", None, "thirds"),
+                              depth, 64) is (depth == 191)
+        assert len(counted) == reads
+
+    def test_harmonic_at_the_cap_builds_no_exact_sum(self, monkeypatch):
+        # it read and kept all 50001 exact sums, about 0.5 GB
+        monkeypatch.setattr(SeriesSpec, "term_at", None)
+        with pytest.raises(ConvergenceUnknown, match="depth 50000"):
+            flat_sum(harmonic_series(), 50000)
+
+    def test_divergent_series_stops_at_an_early_witness(self):
+        # geom(3/2) crosses 64 by index 7: the doubling floors 8 terms
+        reads = []
+        spec = geom(F(3, 2))
+        pair = spec.pair
+        spec.pair = lambda n: reads.append(n) or pair(n)
+        assert flat_sum(spec, 4096).divergent
+        assert max(reads) == 7
+
+
 class TestUpperLowerSums:
     def test_geometric(self):
         upper, lower = upper_lower_sum(geom(F(1, 2)))

@@ -1,15 +1,19 @@
 import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction
+from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperline import goldbach as gb
 from hyperline import wattenberg as wb
 from hyperline.errors import DepthTooSmall
-from hyperline.goldbach import (euler_sieve, flat_identity, goldbach_report,
-                                is_perfect_power, partial_sum, perfect_powers,
-                                powers_reciprocal_series, tail_bound)
+from hyperline.goldbach import (SieveReport, SieveStep, euler_sieve, flat_identity,
+                                goldbach_report, is_perfect_power, partial_sum,
+                                perfect_powers, powers_reciprocal_series, tail_bound)
+from hyperline.intervals import Interval
 from hyperline.wattenberg import idem_eq, wst
 
 F = Fraction
@@ -63,6 +67,48 @@ class TestPerfectPowers:
                                             (2 ** 1279 - 1, False)])
     def test_is_perfect_power_beyond_float_range(self, k, expected):
         assert is_perfect_power(k) is expected
+
+
+def reference_sieve(depth, steps):
+    """The set-and-sum sieve: the next base is the least integer no earlier
+    base's powers cover, and the residual is 1 plus the covered terms less
+    the contributions, each summed over a table."""
+    covered, covered_values, sieve_steps = set(), [], []
+    candidate = 2
+    for _ in range(steps):
+        while candidate <= depth and candidate in covered:
+            candidate += 1
+        if candidate > depth:
+            raise DepthTooSmall(f"only {len(sieve_steps)} bases fit below {depth}")
+        m, value, largest_exp = candidate, candidate, 0
+        while value <= depth:
+            covered.add(value)
+            covered_values.append(value)
+            largest_exp += 1
+            value *= m
+        sieve_steps.append(SieveStep(m, F(1, m - 1), F(1, (m - 1) * m ** (largest_exp - 1))))
+    contributions = sum((s.contribution for s in sieve_steps), F(0))
+    residual = 1 + sum((F(1, v) for v in covered_values), F(0)) - contributions
+    slack = sum((s.tail for s in sieve_steps), F(0))
+    return SieveReport(sieve_steps, [s.base for s in sieve_steps],
+                       Interval(residual, residual + slack), depth)
+
+
+def _outcome(sieve, depth, steps):
+    try:
+        return sieve(depth, steps).to_dict()
+    except DepthTooSmall as exc:
+        return str(exc)
+
+
+@st.composite
+def sieve_arguments(draw):
+    """A depth and steps, some with more steps than non-powers up to depth."""
+    depth = draw(st.one_of(st.integers(1, 400), st.integers(401, 10 ** 6),
+                           st.sampled_from([10 ** 12, 10 ** 18, 10 ** 30])))
+    tight = draw(st.booleans()) and depth <= 400
+    low = max(1, depth - depth // 10 - 3) if tight else 1
+    return depth, draw(st.integers(low, depth if tight else min(depth, 60)))
 
 
 class TestPowersReciprocalSeries:
@@ -135,6 +181,15 @@ class TestPartialSum:
         for k in perfect_powers(2 * 10 ** 5 - 1):
             total += F(1, k - 1)
             assert 0 < 1 - total <= tail_bound(k), k
+
+    @pytest.mark.parametrize("limit", [2 * 10 ** 5, 2 * 10 ** 5 + 1, 10 ** 6 - 1, 10 ** 7,
+                                       10 ** 10, 10 ** 18, 10 ** 30, 3 ** 100])
+    def test_tail_bound_proof_slack(self, limit):
+        # tail_bound's proof: the bound exceeds the tail by at least
+        # 1/(s+1) - 1/(2 s^2) - 22/(7 t^2), which is positive past 2*10^5
+        s, t = isqrt(limit), gb._integer_root(limit, 3)
+        assert t ** 3 <= limit < (t + 1) ** 3
+        assert F(1, s + 1) - F(1, 2 * s * s) - F(22, 7 * t * t) > 0
 
     def test_tail_bound_against_brute_force_window(self):
         # enumerate the actual tail over (limit, 100*limit]; it must stay
@@ -216,7 +271,7 @@ class TestEulerSieve:
             assert 0 < gap <= step.tail
 
     def test_deep_sieve_allocates_only_the_covered_powers(self):
-        # the covered values are the powers of the chosen bases, not [0, depth]
+        # no table of [0, depth], nor of the covered powers: only the steps
         tracemalloc.start()
         try:
             report = euler_sieve(10 ** 18, 20)
@@ -225,6 +280,28 @@ class TestEulerSieve:
             tracemalloc.stop()
         assert report.removed_bases[:8] == [2, 3, 5, 6, 7, 10, 11, 12]
         assert peak < 1 << 20
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(sieve_arguments())
+    def test_matches_the_set_and_sum_sieve(self, arguments):
+        depth, steps = arguments
+        assert _outcome(euler_sieve, depth, steps) == _outcome(reference_sieve, depth, steps)
+
+    @pytest.mark.parametrize("depth,steps", [(4, 3), (10, 10), (16, 12), (1000, 969),
+                                             (10 ** 4, 20), (2 * 10 ** 4, 20),
+                                             (10 ** 6, 3000)])
+    def test_matches_the_set_and_sum_sieve_at_fixed_cases(self, depth, steps):
+        assert _outcome(euler_sieve, depth, steps) == _outcome(reference_sieve, depth, steps)
+
+    def test_keeps_no_table_of_covered_powers(self, monkeypatch):
+        # the walk reads is_perfect_power once per integer it passes, and
+        # nothing else: the bases up to 30 skip 4, 8, 9, 16, 25 and 27
+        seen = []
+        monkeypatch.setattr(gb, "is_perfect_power",
+                            lambda k: seen.append(k) or k in (4, 8, 9, 16, 25, 27))
+        report = euler_sieve(1000, 23)
+        assert report.removed_bases[-1] == 30
+        assert seen == list(range(2, 31))
 
     def test_depth_too_small(self):
         with pytest.raises(DepthTooSmall):

@@ -316,6 +316,16 @@ class TestCertificates:
         with pytest.raises(SearchExhausted):
             nonvanish_certificate([F(3), F(-1)], p_cap=3)
 
+    @pytest.mark.parametrize("coefficients,p_cap,start", [
+        ([F(3), F(-1)], 10_000, 3), ([F(-87), F(32)], 10_000, 87),
+        ([F(1, 7), F(-2, 9), F(5, 11), F(1, 13)], 10_000, 9009),
+        ([F(11, 2), F(-4), F(11)], -10 ** 40, -10 ** 40), ([F(10) ** 400, F(1)], 100, 100)])
+    def test_search_start(self, coefficients, p_cap, start):
+        assert hermite.search_start(coefficients, p_cap) == start
+        if start >= p_cap:  # no prime is looked for, however far the start
+            with pytest.raises(SearchExhausted):
+                nonvanish_certificate(coefficients, p_cap)
+
     def test_json_roundtrip_reverifies(self):
         cert = nonvanish_certificate([F(3), F(-1)])
         rebuilt = certificate_from_dict(cert.to_dict())
@@ -336,6 +346,36 @@ class TestCertificates:
         if eps_bound is not None:
             doc["eps_bound"] = eps_bound
         assert verify_certificate(certificate_from_dict(doc)) is accepted
+
+    @pytest.mark.parametrize("checks", [
+        {"m0_nondivisible": False, "mk_divisible": False, "eps_half": False},
+        {"m0_nondivisible": True, "mk_divisible": True, "eps_half": False},
+        {"m0_nondivisible": True, "mk_divisible": True},
+        {},
+        {"m0_nondivisible": True, "mk_divisible": True, "eps_half": True, "extra": True},
+    ], ids=["all-false", "eps-false", "no-eps", "empty", "extra"])
+    def test_stated_checks_must_match(self, checks):
+        # each verified True when the stated checks were ignored
+        doc = nonvanish_certificate([F(3), F(-1)]).to_dict()
+        doc["checks"] = checks
+        assert not verify_certificate(certificate_from_dict(doc))
+
+    @pytest.mark.parametrize("checks", [{"anything": "goes"}, [], None, "true",
+                                        {"m0_nondivisible": 1, "mk_divisible": True,
+                                         "eps_half": True}])
+    def test_from_dict_refuses_checks_that_are_not_booleans(self, checks):
+        doc = nonvanish_certificate([F(3), F(-1)]).to_dict()
+        doc["checks"] = checks
+        with pytest.raises(ValueError, match="checks must be an object of booleans"):
+            certificate_from_dict(doc)
+
+    def test_search_and_verification_share_the_checks(self, monkeypatch):
+        calls = []
+        checks = hermite._checks
+        monkeypatch.setattr(hermite, "_checks", lambda *a: calls.append(a[1]) or checks(*a))
+        cert = nonvanish_certificate([F(3), F(-1)])
+        assert verify_certificate(certificate_from_dict(cert.to_dict()))
+        assert calls == [cert.prime, cert.prime]
 
     def test_untrusted_prime_is_bounded_by_M0(self):
         # trial division up to sqrt(2^61 - 1) would run for minutes; the
