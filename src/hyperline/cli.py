@@ -107,12 +107,18 @@ def _leaf(text: str):
     return match.groups() if match else (None, None)
 
 
+def _long_digit_run(text: str) -> bool:
+    """Whether ``text`` holds a run of more than _MAX_DIGITS digits, which
+    int() and Fraction() refuse with CPython's set_int_max_str_digits hint."""
+    return any(len(run) - run.count("_") > _MAX_DIGITS for run in re.findall(r"\d[\d_]*", text))
+
+
 def _ratio_prints(text: str) -> bool:
     """Whether a ``geom`` ratio's label prints.  A digit run or a decimal
     exponent above _MAX_DIGITS is refused unread: Fraction would refuse the
     one with CPython's hint and spend seconds on 10^exponent for the other.
     Past them the ratio has at most 2 * _MAX_DIGITS digits and is built."""
-    if any(len(run) - run.count("_") > _MAX_DIGITS for run in re.findall(r"\d[\d_]*", text)):
+    if _long_digit_run(text):
         return False
     exponent = re.search(r"[eE][+-]?(\d[\d_]*)", text)
     if exponent and int(exponent.group(1)) > _MAX_DIGITS:
@@ -131,8 +137,11 @@ def _series(text: str) -> extsum.SeriesSpec:
         raise argparse.ArgumentTypeError(
             f"series {text!r}: its ratio would print more than {_MAX_DIGITS} digits")
     # pser(k)'s tail bound at index m is 1/((k-1) (m+1)^(k-1)), m >= 127, so its
-    # grid needs at least 7 (k-1) bits: refuse before that power is built
+    # grid needs at least 7 (k-1) bits: refuse before that power is built, and
+    # an exponent of over _MAX_DIGITS digits before int() refuses it
     if name == "pser" and arg is not None:
+        if _long_digit_run(arg):
+            raise argparse.ArgumentTypeError(too_big)
         try:
             exponent = int(arg)
         except ValueError:

@@ -33,7 +33,7 @@ from typing import Callable, Optional
 from . import seqfield as sf
 from .errors import ConvergenceUnknown, InvalidPermutation
 from .intervals import Interval, grid_bits
-from .seqfield import Hyperreal, Pair, Verdict, compare, make
+from .seqfield import Hyperreal, Pair, Verdict, make
 from .wattenberg import DedekindNumber, EPS_IDEM, dd_add, dd_scalar_mul, embed
 
 DEFAULT_DEPTH = sf.DEFAULT_DEPTH
@@ -432,7 +432,7 @@ def upper_lower_limit(a, tail_bound=None, depth: int = DEFAULT_DEPTH):
     if depth < 1:
         raise ValueError("depth must be >= 1")
     a = make(a)
-    if compare(a, a.at(depth), depth).verdict is Verdict.EQUAL:
+    if sf._compare(a, a.at(depth), depth, depth // 2).verdict is Verdict.EQUAL:
         exact = embed(a)
         return exact, exact
     if tail_bound is None:
@@ -506,7 +506,7 @@ def scalar_mul_flat(c, spec: SeriesSpec, depth: int = DEFAULT_DEPTH,
     the eta interval follows; for nonconstant c no real limit exists.
     """
     c = make(c)
-    if compare(c, 0, depth).verdict is not Verdict.GREATER:
+    if sf._compare(c, 0, depth, depth // 2).verdict is not Verdict.GREATER:
         raise ConvergenceUnknown("scalar must verify positive")
     base = flat_sum(spec, depth, eta_terms)
     value = dd_scalar_mul(c, base.value, depth)

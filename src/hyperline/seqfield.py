@@ -37,9 +37,11 @@ Every other verdict is one scan, ``_window``: how far down from ``depth``
 the suffix window ``[w, depth]`` stays uniform.  It reads a cell per index
 (a sign, a tag, or ``shadow``'s grid cell) and stops at the first one that
 breaks the window: another sign or tag, or a hull wider than
-``tolerance/2``.  ``compare`` and ``shadow`` scan down to index 0, so
-``compare``'s witness is the least one; ``classify`` and ``arch_compare``
-stop at ``depth//2``, all that a verdict needs.
+``tolerance/2``.  ``shadow`` scans down to index 0, and so does public
+``compare``, for its least witness.  Every scan whose caller reads only the
+verdict stops at ``depth//2``, all that a verdict needs: ``classify``,
+``arch_compare``, and ``_compare(..., depth//2)`` behind ``dd_cmp`` and the
+other sign checks.
 
 A sequence may also carry an integer *bracket* ``bracket(n, k) -> (lo, hi,
 start)`` with ``lo <= a(n) * 2^k <= hi``, cheaper to compute than ``a(n)``
@@ -517,6 +519,14 @@ def compare(a, b, depth: int = DEFAULT_DEPTH) -> CompareResult:
     The scan would find that sign on all of ``[0, depth]``: the verdict is
     read from ``c`` and the witness is 0.
     """
+    return _compare(a, b, depth, 0)
+
+
+def _compare(a, b, depth: int, floor: int) -> CompareResult:
+    """``compare`` whose scan stops once the window reaches ``floor <=
+    depth//2``.  At ``floor = depth//2`` it reads only ``[depth//2, depth]``,
+    all that the verdict needs; a decided witness is then ``floor``, or 0
+    when forms decide, and not the least one."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     a, b = make(a), make(b)
@@ -531,7 +541,7 @@ def compare(a, b, depth: int = DEFAULT_DEPTH) -> CompareResult:
         gap = x * v - u * y
         return (gap > 0) - (gap < 0), n
 
-    sign, w = _window(sign_cell, _same, depth, 0)
+    sign, w = _window(sign_cell, _same, depth, floor)
     if 2 * w > depth:
         return _UNDETERMINED
     return CompareResult(_BY_SIGN[sign + 1], w)

@@ -30,7 +30,7 @@ from .errors import (ClassUndetermined, NotInfinitesimal, OutOfRange, SignUndete
                      UnlimitedValue)
 from .intervals import Interval
 from .seqfield import (ArchClass, ClassTag, CompareResult, Hyperreal, Verdict,
-                       arch_compare, classify, compare, hyper_floor, make, shadow)
+                       arch_compare, classify, hyper_floor, make, shadow)
 
 DEFAULT_DEPTH = sf.DEFAULT_DEPTH
 
@@ -56,7 +56,7 @@ class Idempotent:
             return
         if self.scale is None:
             raise ValueError(f"{self.kind.name} idempotent needs a scale")
-        check = compare(self.scale, 0, self.check_depth)
+        check = sf._compare(self.scale, 0, self.check_depth, self.check_depth // 2)
         if check.verdict is not Verdict.GREATER:
             raise ValueError(
                 f"idempotent scale must verify positive at depth {self.check_depth}"
@@ -213,7 +213,7 @@ def _absorbed_by(h: Hyperreal, delta: Idempotent, depth: int,
     A(a) also absorbs its own class (|h|/a appreciable); ZERO absorbs only 0.
     """
     if delta.is_zero:
-        result = compare(h, 0, depth)
+        result = sf._compare(h, 0, depth, depth // 2)
         if result.verdict is Verdict.EQUAL:
             return True
         if result.verdict is Verdict.UNDETERMINED:
@@ -261,7 +261,7 @@ def dd_scalar_mul(b, x: DedekindNumber, depth: int = DEFAULT_DEPTH) -> DedekindN
     routes through negation, flipping the orientation.
     """
     b = make(b)
-    check = compare(b, 0, depth)
+    check = sf._compare(b, 0, depth, depth // 2)
     if check.verdict is Verdict.UNDETERMINED:
         raise SignUndetermined(f"sign of {b.label} undecided at depth {depth}")
     if check.verdict is Verdict.EQUAL:
@@ -311,7 +311,11 @@ def dd_cmp(x: DedekindNumber, y: DedekindNumber, depth: int = DEFAULT_DEPTH,
            probes: int = sf.DEFAULT_PROBES) -> CompareResult:
     """Order canonical forms.  When the hyperreal gap is not absorbed by the
     larger idempotent it decides; otherwise orientation and idempotent class
-    break the tie (h# - D < h# < h# + D)."""
+    break the tie (h# - D < h# < h# + D).
+
+    A decided gap's witness is an index ``w <= depth/2`` with the sign of
+    ``x.h - y.h`` constant on ``[w, depth]``: ``depth//2``, where its scan
+    stops, or 0 from forms; not the least one.  Absorbed branches give 0."""
     dverdict = idem_cmp(x.delta, y.delta, depth)
     if dverdict is Verdict.UNDETERMINED:
         return CompareResult(Verdict.UNDETERMINED, None)
@@ -320,7 +324,7 @@ def dd_cmp(x: DedekindNumber, y: DedekindNumber, depth: int = DEFAULT_DEPTH,
     if absorbed is None:
         return CompareResult(Verdict.UNDETERMINED, None)
     if not absorbed:
-        return compare(x.h, y.h, depth)
+        return sf._compare(x.h, y.h, depth, depth // 2)
     if x.sign != y.sign:
         verdict = Verdict.LESS if x.sign < y.sign else Verdict.GREATER
         return CompareResult(verdict, 0)
@@ -377,7 +381,7 @@ def eps_part(x: DedekindNumber, eps, depth: int = DEFAULT_DEPTH) -> EpsPartForm:
         raise NotInfinitesimal("eps-part needs a nonzero absorption part")
     if classify(eps, depth) is not ClassTag.INFINITESIMAL:
         raise NotInfinitesimal(f"{eps.label} did not classify infinitesimal")
-    if compare(eps, 0, depth).verdict is not Verdict.GREATER:
+    if sf._compare(eps, 0, depth, depth // 2).verdict is not Verdict.GREATER:
         raise NotInfinitesimal(f"{eps.label} must be positive")
     refined = DedekindNumber(x.h, x.sign, x.delta.scaled(eps))
     return EpsPartForm(refined, eps, True)

@@ -423,6 +423,17 @@ class TestDeterminismAndExitCodes:
         assert err.endswith(f"error: argument --series: series {series!r}: "
                             "its ratio would print more than 4300 digits\n")
 
+    @pytest.mark.parametrize("series", ["pser(" + "7" * 5000 + ")",
+                                        "alt(pser(" + "7" * 5000 + "))"],
+                             ids=lambda v: v[:24])
+    def test_unprintable_pser_exponent_is_refused_by_name(self, capsys, series):
+        # int() of the exponent leaked CPython's set_int_max_str_digits hint
+        code = run(["extsum", "--series", series])
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err and "set_int_max_str_digits" not in err
+        assert err.endswith(f"error: argument --series: series {series!r}: "
+                            "eta_interval would print more than 4300 digits\n")
+
     @pytest.mark.parametrize("argv", [
         ["extsum", "--series", "geom(999/1000)", "--depth", "20000"],
         ["extsum", "--series", "geom(99999999999999999999/100000000000000000000)"],

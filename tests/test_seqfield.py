@@ -288,8 +288,39 @@ def depth_and_sequences(draw, parity, count):
     return depth, [draw(window_sequences(depth)) for _ in range(count)]
 
 
+@st.composite
+def compare_operands(draw, parity):
+    """A depth of the given parity, 1 or 2 often, and two operands: leaves
+    whose sign settles at a drawn index, or monomial forms."""
+    depth = 2 * draw(st.one_of(st.just(1 - parity), st.integers(1 - parity, 20))) + parity
+
+    def operand():
+        kind = draw(st.sampled_from(["leaf", "constant", "omega", "recip"]))
+        if kind == "leaf":
+            values = draw(st.lists(st.integers(-3, 3), min_size=depth + 1,
+                                   max_size=depth + 1))
+            settle, sign = draw(st.integers(0, depth + 1)), draw(st.integers(-1, 1))
+            values[settle:] = [sign * (abs(v) or 1) for v in values[settle:]]
+            return make(lambda n: F(values[n]))
+        c = make(draw(st.fractions(-3, 3, max_denominator=4)))
+        return {"constant": c, "omega": c * sf.OMEGA, "recip": c * sf.RECIPROCAL_SUCC}[kind]
+
+    return depth, operand(), operand()
+
+
 class TestHalfWindowScans:
-    """classify and arch_compare against the three-scan reference."""
+    """classify and arch_compare against the three-scan reference, and the
+    half-window sign scan against public compare's scan down to index 0."""
+
+    @pytest.mark.parametrize("parity", [0, 1], ids=["even", "odd"])
+    @given(data=st.data())
+    def test_half_window_compare_keeps_the_verdict(self, parity, data):
+        depth, a, b = data.draw(compare_operands(parity))
+        half = sf._compare(a, b, depth, depth // 2)
+        eager = compare(a, b, depth)
+        assert half.verdict is eager.verdict
+        if eager.witness_index is not None:  # so the sign holds on [w, depth]
+            assert eager.witness_index <= half.witness_index <= depth // 2
 
     @pytest.mark.parametrize("parity", [0, 1], ids=["even", "odd"])
     @given(data=st.data())

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strategies as own
+from hyperline import extsum
 from hyperline import seqfield as sf
 from hyperline import wattenberg as wb
 from hyperline.errors import ClassUndetermined, NotInfinitesimal, OutOfRange
@@ -246,6 +248,43 @@ class TestOrder:
         x = embed(wobble)
         assert dd_cmp(x, embed(2)).verdict is Verdict.UNDETERMINED
 
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_half_window_matches_the_eager_scan(self, data):
+        depth = data.draw(st.integers(1, 40))
+        x, y = data.draw(scanned_pairs(depth))
+        got = dd_cmp(x, y, depth)
+        assert got.verdict is eager_dd_cmp(x, y, depth).verdict
+        dverdict = idem_cmp(x.delta, y.delta, depth)
+        larger = y.delta if dverdict is Verdict.LESS else x.delta
+        if got.witness_index is None or wb._absorbed_by(x.h - y.h, larger, depth):
+            return
+        w, sign = got.witness_index, sf._BY_SIGN.index(got.verdict) - 1
+        assert 2 * w <= depth
+        assert all(sf._sign(x.h.at(n) - y.h.at(n)) == sign for n in range(w, depth + 1))
+
+
+def eager_dd_cmp(x, y, depth):
+    """``dd_cmp`` with every sign scan run down to index 0, as public
+    ``compare`` runs it: the reference the half-window scans must agree with."""
+    scan = sf._compare
+    with mock.patch.object(sf, "_compare", lambda a, b, d, floor: scan(a, b, d, 0)):
+        return dd_cmp(x, y, depth)
+
+
+@st.composite
+def scanned_pairs(draw, depth):
+    """Two canonical forms whose hyperreal parts are leaves with no monomial
+    form, their gap's sign settling at a drawn index, so a scan decides it."""
+    xs = draw(st.lists(own.small_rationals, min_size=depth + 1, max_size=depth + 1))
+    gaps = draw(st.lists(st.integers(-3, 3), min_size=depth + 1, max_size=depth + 1))
+    settle, sign = draw(st.integers(0, depth + 1)), draw(st.integers(-1, 1))
+    gaps[settle:] = [sign * (abs(g) or 1) for g in gaps[settle:]]
+    # a pure cut half the time: no idempotent absorbs the gap
+    fx, fy = (draw(st.one_of(st.just(zero_cut()), own.canonical_forms())) for _ in "xy")
+    return (DedekindNumber(make(lambda n: xs[n]), fx.sign, fx.delta),
+            DedekindNumber(make(lambda n: xs[n] - gaps[n]), fy.sign, fy.delta))
+
 
 class TestEpsParts:
     def test_basic_form(self):
@@ -347,3 +386,56 @@ class TestNoAdditiveInverseForDelta:
         ]
         for y in candidates:
             assert not dd_eq(dd_add(delta_d(), y), target)
+
+
+def _unabsorbed_pair(leaf):
+    """Two pure cuts 1 + 1/(n+1) apart: the gap is appreciable, so eps_d
+    absorbs none of it and a sign scan decides their order."""
+    return embed(leaf(lambda n: F(n + 2, n + 1))), embed(leaf(lambda n: F(0)))
+
+
+def _b_one(depth):
+    """0# + B(1), its scale's positivity checked at ``depth``."""
+    return DedekindNumber(sf.ZERO, 1, Idempotent.b(sf.ONE, depth))
+
+
+HALF_WINDOW_CALLERS = {
+    "dd_cmp": lambda leaf, d: dd_cmp(*_unabsorbed_pair(leaf), d),
+    "dd_le": lambda leaf, d: wb.dd_le(*_unabsorbed_pair(leaf), d),
+    "rel_R": lambda leaf, d: rel_holds("R", *_unabsorbed_pair(leaf), wb.EPS_IDEM, d),
+    "rel_S": lambda leaf, d: rel_holds("S", *_unabsorbed_pair(leaf), wb.EPS_IDEM, d),
+    "dd_scalar_mul": lambda leaf, d: dd_scalar_mul(leaf(lambda n: F(n + 1, 2)), _b_one(d), d),
+    "eps_part": lambda leaf, d: eps_part(_b_one(d), leaf(lambda n: F(1, n + 1)), d),
+    "Idempotent.b": lambda leaf, d: Idempotent.b(leaf(lambda n: F(n + 1)), d),
+    "upper_lower_limit": lambda leaf, d: extsum.upper_lower_limit(
+        leaf(lambda n: F(min(n, 5))), depth=d),
+    # a divergent flat sum has no idempotent to rescale at another depth
+    "scalar_mul_flat": lambda leaf, d: extsum.scalar_mul_flat(
+        leaf(lambda n: F(n + 2, n + 1)), extsum.geom(2), d),
+}
+
+
+class TestHalfWindowReads:
+    """Every caller that reads only a verdict evaluates each leaf on
+    ``[depth//2, depth]`` alone, each index once; public ``compare`` still
+    reads ``[0, depth]`` for its least witness."""
+
+    DEPTH = 1024
+
+    @pytest.mark.parametrize("caller", HALF_WINDOW_CALLERS)
+    def test_verdict_only_callers_read_the_half_window(self, caller):
+        reads = []
+
+        def leaf(value):
+            mine = []
+            reads.append(mine)
+            return make(lambda n: mine.append(n) or value(n))
+
+        HALF_WINDOW_CALLERS[caller](leaf, self.DEPTH)
+        assert reads and all(sorted(r) == list(range(512, 1025)) for r in reads)
+
+    def test_public_compare_reads_the_whole_window(self):
+        reads = []
+        a = make(lambda n: reads.append(n) or F(n + 1))
+        assert sf.compare(a, 0, self.DEPTH) == sf.CompareResult(Verdict.GREATER, 0)
+        assert sorted(reads) == list(range(1025))
