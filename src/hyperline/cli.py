@@ -2,9 +2,11 @@
 
 Every subcommand prints a single JSON document (or CSV rows with --format
 csv) to stdout.  Rationals are rendered as decimal-free "p/q" strings so no
-rounding ever happens on the way out.  Exit codes: 0 success, 2 usage error,
-3 an undetermined/unknown-convergence verdict, 4 certificate search
-exhausted.
+rounding ever happens on the way out; every number read or printed goes
+through the decimal codec in `intervals`.  Work caps refuse an input before
+any work, and a document of 2^20 bytes or more is not printed.  Exit codes:
+0 success, 2 usage error or output over that cap, 3 an
+undetermined/unknown-convergence verdict, 4 certificate search exhausted.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from fractions import Fraction
 # Engine modules are reached through their module objects: each one's code
 # runs only when a command reads from it (see hyperline/__init__.py).
 from . import extsum, goldbach, hermite, seqfield, wattenberg
-from .intervals import grid_bits
+from .intervals import (_MAX_DECIMAL_CHARS, _fraction_to_text, _to_decimal, grid_bits,
+                        read_fraction, read_int)
 from .errors import (ClassUndetermined, ConvergenceUnknown, NotConvergentAtDepth,
                      PrecisionExhausted, SearchExhausted, SignUndetermined,
                      UnlimitedValue)
@@ -29,8 +32,9 @@ from .errors import (ClassUndetermined, ConvergenceUnknown, NotConvergentAtDepth
 _SOFT_ERRORS = (ClassUndetermined, ConvergenceUnknown, NotConvergentAtDepth,
                 SignUndetermined, UnlimitedValue, PrecisionExhausted)
 
-# CPython's default int->str limit: inputs whose output would pass it are
-# refused up front.  2^_MAX_BITS is the largest power of two that prints.
+# The eta/wst grid bounds (_tolerance, the pser exponent, the eta slack, a geom
+# ratio's size, parse_rational's exponent) keep the 4300-digit figure: they bound
+# eta and wst work until ROADMAP's floored eta intervals re-derive them.
 _MAX_DIGITS = 4300
 _MAX_BITS = (10 ** _MAX_DIGITS).bit_length() - 1
 _MAX_GOLDBACH_LIMIT = 10 ** 10
@@ -45,8 +49,11 @@ _MAX_EXTSUM_DEPTH = 5 * 10 ** 4
 _MAX_TABLE_WORK = 1 << 28
 # hermite m: the expansion of degree N = (n+1)p - 1 takes about n N big-integer
 # steps, which hermite_M_min_bits, 0 for a small p, does not bound: n N = 80200
-# (--n 200 --p 2) took 0.24 s, 180300 (--n 300 --p 2) 1.3 s, 500500 7.6 s
+# (--n 200 --p 2) took 0.24 s, 180300 (--n 300 --p 2) 1.3 s, 500500 7.6 s; peak
+# RSS tracks N hermite_M_min_bits: 135-265 MB and 0.3-0.8 s just below 2^30 at
+# n = 1..10, 390 MB at 1.8e9 (--n 1 --p 10007)
 _MAX_EXPANSION = 1 << 17
+_MAX_EXPANSION_BITS = 1 << 30
 # hermite cert: at degree 3 a search starting where hermite_M_min_bits is
 # about 87000 took 0.9 s and 150 MB, and 160000 (5000,1,1,-1) 2.4 s and 410 MB
 _MAX_CERT_BITS = 1 << 17
@@ -59,8 +66,7 @@ def parse_rational(text: str) -> Fraction:
     text = text.strip()
     try:
         if "/" in text:
-            num, den = text.split("/", 1)
-            return Fraction(int(num), int(den))
+            return read_fraction(text)
         value = decimal.Decimal(text)
         exponent = value.as_tuple().exponent
         if isinstance(exponent, int) and abs(exponent) > _MAX_DIGITS:
@@ -107,24 +113,14 @@ def _leaf(text: str):
     return match.groups() if match else (None, None)
 
 
-def _long_digit_run(text: str) -> bool:
-    """Whether ``text`` holds a run of more than _MAX_DIGITS digits, which
-    int() and Fraction() refuse with CPython's set_int_max_str_digits hint."""
-    return any(len(run) - run.count("_") > _MAX_DIGITS for run in re.findall(r"\d[\d_]*", text))
-
-
 def _ratio_prints(text: str) -> bool:
-    """Whether a ``geom`` ratio's label prints.  A digit run or a decimal
-    exponent above _MAX_DIGITS is refused unread: Fraction would refuse the
-    one with CPython's hint and spend seconds on 10^exponent for the other.
-    Past them the ratio has at most 2 * _MAX_DIGITS digits and is built."""
-    if _long_digit_run(text):
-        return False
+    """Whether a ``geom`` ratio's terms have at most _MAX_DIGITS digits; an
+    exponent above that is refused before 10^exponent, seconds of work."""
     exponent = re.search(r"[eE][+-]?(\d[\d_]*)", text)
-    if exponent and int(exponent.group(1)) > _MAX_DIGITS:
+    if exponent and read_int(exponent.group(1)) > _MAX_DIGITS:
         return False
     try:
-        ratio = Fraction(text)
+        ratio = read_fraction(text)
     except (ValueError, ZeroDivisionError):
         return True  # parse_series says what is wrong with it
     return max(abs(ratio.numerator), ratio.denominator) < 10 ** _MAX_DIGITS
@@ -137,13 +133,10 @@ def _series(text: str) -> extsum.SeriesSpec:
         raise argparse.ArgumentTypeError(
             f"series {text!r}: its ratio would print more than {_MAX_DIGITS} digits")
     # pser(k)'s tail bound at index m is 1/((k-1) (m+1)^(k-1)), m >= 127, so its
-    # grid needs at least 7 (k-1) bits: refuse before that power is built, and
-    # an exponent of over _MAX_DIGITS digits before int() refuses it
+    # grid needs at least 7 (k-1) bits: refuse before that power is built
     if name == "pser" and arg is not None:
-        if _long_digit_run(arg):
-            raise argparse.ArgumentTypeError(too_big)
         try:
-            exponent = int(arg)
+            exponent = read_int(arg)
         except ValueError:
             exponent = 0  # parse_series refuses it
         if 7 * (exponent - 1) > _MAX_BITS:
@@ -163,18 +156,9 @@ def _series(text: str) -> extsum.SeriesSpec:
 
 
 def _check_output_size(parser, args):
-    """Refuse, as a usage error, a `hermite m` whose M_k(n, p) has provably
-    more than _MAX_DIGITS digits: above _MAX_BITS + 1 bits it is at least
-    2^(_MAX_BITS + 1) > 10^_MAX_DIGITS.  Likewise a `liouville` whose
-    error_interval end 10^-(n+1)! prints (n+1)! + 1 digits, refused through
-    the capped factorial, so a huge n costs nothing, and a `goldbach` limit
-    above _MAX_GOLDBACH_LIMIT, before any perfect power is enumerated: the
-    partial sum's denominator already has more than 4300 digits at 3*10^9.
-    Also refuse a `sieve` or `extsum` past its work bounds, among them a
-    series whose bracket tables would floor more than _MAX_TABLE_WORK bits
-    of terms at `shadow`'s scale (`extsum.table_work`), and a `hermite
-    cert` whose search would start where the Hermite integers pass
-    _MAX_CERT_BITS bits."""
+    """Refuse, as a usage error before any work, an input past a work cap
+    (the figures above; a series' by `extsum.table_work` at `shadow`'s
+    scale).  What may print is bounded by `run`'s stdout cap alone."""
     depth = getattr(args, "depth", 0)  # unset only where no cap reads it
     if args.command == "sieve" and args.steps > _MAX_SIEVE_STEPS:
         parser.error(f"sieve --steps {args.steps}: steps above 10^4 are refused")
@@ -188,25 +172,19 @@ def _check_output_size(parser, args):
         parser.error(f"extsum --series {args.series.label} --depth {depth}: its partial "
                      f"sums would floor more than 2^28 bits of terms")
     if args.command == "goldbach" and args.limit > _MAX_GOLDBACH_LIMIT:
-        parser.error(f"goldbach --limit {args.limit}: limits above 10^10 are refused, "
-                     f"partial_sum would print more than {_MAX_DIGITS} digits")
+        parser.error(f"goldbach --limit {args.limit}: limits above 10^10 are refused")
     if args.command == "hermite" and args.hermite_command == "m":
-        if hermite.hermite_M_min_bits(args.n, args.p) > _MAX_BITS + 1:
-            parser.error(f"hermite m --n {args.n} --p {args.p}: "
-                         f"M would print more than {_MAX_DIGITS} digits")
-        if args.n * ((args.n + 1) * args.p - 1) > _MAX_EXPANSION:
+        degree = (args.n + 1) * args.p - 1
+        if args.n * degree > _MAX_EXPANSION:
             parser.error(f"hermite m --n {args.n} --p {args.p}: n times the degree "
                          f"(n+1)p - 1 above 2^17 is refused")
+        if degree * hermite.hermite_M_min_bits(args.n, args.p) > _MAX_EXPANSION_BITS:
+            parser.error(f"hermite m --n {args.n} --p {args.p}: its expansion would "
+                         f"hold more than 2^30 bits")
     if args.command == "hermite" and args.hermite_command == "cert" and \
             _cert_start_bits(args) > _MAX_CERT_BITS:
         parser.error(f"hermite cert --coeffs {args.coeffs}: the Hermite integers "
                      f"at the first prime would pass 2^17 bits")
-    if args.command == "liouville":
-        try:
-            hermite._capped_factorial(args.n + 1, _MAX_DIGITS)
-        except ValueError:
-            parser.error(f"liouville --n {args.n}: error_interval would "
-                         f"print more than {_MAX_DIGITS} digits")
 
 
 def _cert_start_bits(args) -> int:
@@ -328,7 +306,7 @@ def eval_wat_expr(text: str, depth: int | None = None) -> wattenberg.DedekindNum
             raise ValueError(f"bad term {token!r}")
         if match.group("rat"):
             try:
-                value = Fraction(match.group("rat"))
+                value = read_fraction(match.group("rat"))
             except ZeroDivisionError:
                 raise ValueError(f"zero denominator in {token!r}") from None
             term = wattenberg.embed(value)
@@ -350,24 +328,14 @@ def eval_wat_expr(text: str, depth: int | None = None) -> wattenberg.DedekindNum
 def _interval_pair(interval):
     if interval is None:
         return None
-    return [str(interval.lo), str(interval.hi)]
+    return [_fraction_to_text(interval.lo), _fraction_to_text(interval.hi)]
 
 
 def _run_command(args) -> dict:
     if args.command == "goldbach":
-        total = goldbach.partial_sum(args.limit)
-        # its denominator is the largest integer the report prints
-        if total.denominator >= 10 ** _MAX_DIGITS:
-            raise ValueError(f"goldbach --limit {args.limit}: "
-                             f"partial_sum would print more than {_MAX_DIGITS} digits")
-        return goldbach.goldbach_report(args.limit, total)
+        return goldbach.goldbach_report(args.limit)
     if args.command == "sieve":
-        report = goldbach.euler_sieve(args.depth, args.steps)
-        ends = report.residual.lo, report.residual.hi  # its largest integers
-        if any(max(abs(q.numerator), q.denominator) >= 10 ** _MAX_DIGITS for q in ends):
-            raise ValueError(f"sieve --depth {args.depth} --steps {args.steps}: "
-                             f"residual would print more than {_MAX_DIGITS} digits")
-        return report.to_dict()
+        return goldbach.euler_sieve(args.depth, args.steps).to_dict()
     if args.command == "extsum":
         spec = args.series
         result = extsum.flat_sum(spec, depth=args.depth)
@@ -387,11 +355,7 @@ def _run_command(args) -> dict:
         }
     if args.command == "hermite":
         if args.hermite_command == "m":
-            m = hermite.hermite_M(args.n, args.p, args.k)
-            if abs(m) >= 10 ** _MAX_DIGITS:  # past hermite_M_min_bits' check
-                raise ValueError(f"hermite m --n {args.n} --p {args.p}: "
-                                 f"M would print more than {_MAX_DIGITS} digits")
-            return {"M": str(m)}
+            return {"M": _to_decimal(hermite.hermite_M(args.n, args.p, args.k))}
         cert = hermite.nonvanish_certificate(
             [parse_rational(c) for c in args.coeffs.split(",")],
             p_cap=args.p_cap)
@@ -406,8 +370,8 @@ def _run_command(args) -> dict:
         convergents = hermite.cf_convergents(alpha, args.count)
         return {
             "alpha": args.alpha,
-            "convergents": [{"p": str(c.p), "q": str(c.q),
-                             "abs_err_upper": str(c.error_bound.hi)}
+            "convergents": [{"p": _to_decimal(c.p), "q": _to_decimal(c.q),
+                             "abs_err_upper": _fraction_to_text(c.error_bound.hi)}
                             for c in convergents],
         }
     if args.command == "liouville":
@@ -415,8 +379,8 @@ def _run_command(args) -> dict:
         return {
             "m": args.m,
             "n": args.n,
-            "p": str(convergent.p),
-            "q": str(convergent.q),
+            "p": _to_decimal(convergent.p),
+            "q": _to_decimal(convergent.q),
             "error_interval": _interval_pair(convergent.error_bound),
             "bound_holds": holds,
         }
@@ -478,7 +442,11 @@ def run(argv) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        doc = _run_command(args)
+        text = render(_run_command(args), args.output_format)
+        size = len(text.encode()) + 1  # with print's newline
+        if size >= _MAX_DECIMAL_CHARS:
+            raise ValueError(f"output of {size} bytes is over the stdout cap of "
+                             f"2^20 - 1 bytes")
     except SearchExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
@@ -488,7 +456,7 @@ def run(argv) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(render(doc, args.output_format))
+    print(text)
     return 0
 
 

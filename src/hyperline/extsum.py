@@ -32,7 +32,7 @@ from typing import Callable, Optional
 
 from . import seqfield as sf
 from .errors import ConvergenceUnknown, InvalidPermutation
-from .intervals import Interval, grid_bits
+from .intervals import Interval, grid_bits, read_fraction, read_int
 from .seqfield import Hyperreal, Pair, Verdict, make
 from .wattenberg import DedekindNumber, EPS_IDEM, dd_add, dd_scalar_mul, embed
 
@@ -531,11 +531,11 @@ def parse_series(text: str) -> SeriesSpec:
     if name == "geom":
         if arg is None:
             raise ValueError("geom needs a ratio argument")
-        return geom(Fraction(arg))
+        return geom(read_fraction(arg))
     if name == "pser":
         if arg is None:
             raise ValueError("pser needs an exponent argument")
-        return pser(int(arg))
+        return pser(read_int(arg))
     if name == "alt":
         if arg is None:
             raise ValueError("alt needs an inner series")

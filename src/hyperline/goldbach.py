@@ -13,11 +13,11 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import List, Optional
+from typing import List
 
 from . import extsum
 from .errors import DepthTooSmall
-from .intervals import Interval
+from .intervals import Interval, _fraction_to_text
 
 
 def perfect_powers(limit: int) -> List[int]:
@@ -162,10 +162,10 @@ class SieveReport:
         return {
             "depth": self.depth,
             "steps": [{"base": s.base,
-                       "contribution": str(s.contribution),
-                       "tail_bound": str(s.tail)} for s in self.steps],
+                       "contribution": _fraction_to_text(s.contribution),
+                       "tail_bound": _fraction_to_text(s.tail)} for s in self.steps],
             "removed_bases": list(self.removed_bases),
-            "residual": [str(self.residual.lo), str(self.residual.hi)],
+            "residual": [_fraction_to_text(q) for q in (self.residual.lo, self.residual.hi)],
         }
 
 
@@ -233,15 +233,12 @@ def flat_identity(limit: int, depth: int = 4096) -> extsum.ExtSumResult:
     return extsum.flat_sum(series, depth=depth, eta_terms=eta_terms)
 
 
-def goldbach_report(limit: int, total: Optional[Fraction] = None) -> dict:
-    """JSON-ready summary used by the CLI; ``total`` is ``partial_sum(limit)``
-    when the caller has it already."""
-    if total is None:
-        total = partial_sum(limit)
-    bound = tail_bound(limit)
+def goldbach_report(limit: int) -> dict:
+    """JSON-ready summary used by the CLI."""
+    total = partial_sum(limit)
     return {
         "limit": limit,
-        "partial_sum": str(total),
-        "tail_bound": str(bound),
-        "abs_err_vs_1": str(abs(1 - total)),
+        "partial_sum": _fraction_to_text(total),
+        "tail_bound": _fraction_to_text(tail_bound(limit)),
+        "abs_err_vs_1": _fraction_to_text(abs(1 - total)),
     }

@@ -28,7 +28,8 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .errors import (IdentityViolated, PrecisionExhausted, RadiusViolation,
                      SearchExhausted, ZeroLeadingCoefficient, ZeroRoot)
-from .intervals import Interval, grid_bits
+from .intervals import (_MAX_DECIMAL_CHARS, Interval, _fraction_from_text,
+                        _fraction_to_text, _from_decimal, _rational, _to_decimal, grid_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -284,71 +285,6 @@ class HermiteCertificate:
             "lower_bound": _fraction_to_text(self.lower_bound),
             "checks": dict(self.checks),
         }
-
-
-# Certificate integers outgrow CPython's 4300-digit limit on int <-> str
-# conversion (the degree-6 certificate of 11,2,-3,1,1,-1,1 has 4813 digits),
-# so they are converted in pieces of at most _DIGIT_CHUNK digits.  A string
-# longer than _MAX_DECIMAL_CHARS is refused, so a parse stays bounded.
-_DIGIT_CHUNK = 3000
-_MAX_DECIMAL_CHARS = 1 << 20
-
-
-def _to_decimal(x: int, width: int = 0) -> str:
-    """``str(x)``, zero-padded to ``width`` digits, from pieces converted
-    below the digit limit (divide and conquer on powers of ten)."""
-    if x < 0:
-        return "-" + _to_decimal(-x)
-    if x.bit_length() <= 3 * _DIGIT_CHUNK:  # below 2^(3c) < 10^c
-        return str(x).zfill(width)
-    k = x.bit_length() * 3 // 20  # about half the digits: 10^k < x
-    high, low = divmod(x, 10 ** k)
-    return _to_decimal(high, width - k) + _to_decimal(low, k)
-
-
-def _from_decimal(text) -> int:
-    """The integer of a decimal string: an optional ``-`` and ASCII digits,
-    at most ``_MAX_DECIMAL_CHARS`` characters."""
-    if not isinstance(text, str):
-        raise ValueError(f"expected a decimal string, got {type(text).__name__}")
-    if len(text) > _MAX_DECIMAL_CHARS:
-        raise ValueError(f"decimal string of {len(text)} characters is over the"
-                         f" {_MAX_DECIMAL_CHARS} cap")
-    digits = text[1:] if text.startswith("-") else text
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"not a decimal integer: {text[:40]!r}")
-    value = _parse_digits(digits)
-    return -value if text.startswith("-") else value
-
-
-def _parse_digits(digits: str) -> int:
-    if len(digits) <= _DIGIT_CHUNK:
-        return int(digits)
-    k = len(digits) // 2
-    return _parse_digits(digits[:-k]) * 10 ** k + _parse_digits(digits[-k:])
-
-
-def _fraction_to_text(q: Fraction) -> str:
-    """``str(q)`` for a Fraction of any size."""
-    if q.denominator == 1:
-        return _to_decimal(q.numerator)
-    return f"{_to_decimal(q.numerator)}/{_to_decimal(q.denominator)}"
-
-
-def _fraction_from_text(text) -> Fraction:
-    """Inverse of ``_fraction_to_text``: ``n`` or ``n/d`` in decimal."""
-    if not isinstance(text, str):
-        raise ValueError(f"expected a rational string, got {type(text).__name__}")
-    num, slash, den = text.partition("/")
-    return _rational(num, den if slash else "1")
-
-
-def _rational(num, den) -> Fraction:
-    """``num / den`` from two decimal strings; a zero ``den`` is refused."""
-    n, d = _from_decimal(num), _from_decimal(den)
-    if d == 0:
-        raise ValueError(f"zero denominator under {num[:40]!r}")
-    return Fraction(n, d)
 
 
 def _prime_from_json(value) -> int:

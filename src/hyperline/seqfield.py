@@ -83,7 +83,7 @@ from typing import Callable, Optional, Tuple
 
 from .errors import (DivisionByZeroAtIndex, NotConvergentAtDepth,
                      UnlimitedValue, ZeroTailAtDepth)
-from .intervals import Interval, grid_bits
+from .intervals import Interval, _fraction_to_text, grid_bits
 
 DEFAULT_DEPTH = 4096
 DEFAULT_PROBES = 64
@@ -258,7 +258,7 @@ class Hyperreal:
     def constant(cls, q) -> "Hyperreal":
         q = exact_rational(q, "constant")
         pq = (q.numerator, q.denominator)
-        h = cls._view(lambda n: pq, str(q), _monomial(q, 0))
+        h = cls._view(lambda n: pq, _fraction_to_text(q), _monomial(q, 0))
         h.const_value = q
         return h
 

@@ -78,12 +78,12 @@ class Idempotent:
     def is_zero(self) -> bool:
         return self.kind is IdemKind.ZERO
 
-    def scaled(self, factor: Hyperreal) -> "Idempotent":
-        """Scale-part multiplication: B(a) -> B(f*a), A(a) -> A(f*a)."""
+    def scaled(self, factor: Hyperreal, depth: int) -> "Idempotent":
+        """Scale-part multiplication: B(a) -> B(f*a), A(a) -> A(f*a), the new
+        scale checked positive at ``depth``, the depth of the operation."""
         if self.is_zero:
             return self
-        return Idempotent(self.kind, make(factor) * self.scale,
-                          check_depth=self.check_depth)
+        return Idempotent(self.kind, make(factor) * self.scale, check_depth=depth)
 
     def render(self) -> str:
         if self.is_zero:
@@ -268,7 +268,7 @@ def dd_scalar_mul(b, x: DedekindNumber, depth: int = DEFAULT_DEPTH) -> DedekindN
         raise SignUndetermined("scalar must be eventually nonzero")
     negative = check.verdict is Verdict.LESS
     # the suffix-verified sign makes b (resp. -b) a valid positive scale
-    scaled_delta = x.delta.scaled(-b if negative else b)
+    scaled_delta = x.delta.scaled(-b if negative else b, depth)
     sign = x.sign if not negative else -x.sign
     return DedekindNumber(b * x.h, sign, scaled_delta)
 
@@ -383,7 +383,7 @@ def eps_part(x: DedekindNumber, eps, depth: int = DEFAULT_DEPTH) -> EpsPartForm:
         raise NotInfinitesimal(f"{eps.label} did not classify infinitesimal")
     if sf._compare(eps, 0, depth, depth // 2).verdict is not Verdict.GREATER:
         raise NotInfinitesimal(f"{eps.label} must be positive")
-    refined = DedekindNumber(x.h, x.sign, x.delta.scaled(eps))
+    refined = DedekindNumber(x.h, x.sign, x.delta.scaled(eps, depth))
     return EpsPartForm(refined, eps, True)
 
 

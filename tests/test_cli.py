@@ -16,7 +16,7 @@ import sympy
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hyperline import cli, extsum, goldbach, hermite, seqfield
+from hyperline import cli, extsum, goldbach, hermite, intervals, seqfield
 from hyperline.cli import eval_wat_expr, parse_rational, render, run
 
 F = Fraction
@@ -328,28 +328,53 @@ class TestDeterminismAndExitCodes:
         assert code == 0
         assert json.loads(out)["series"] == argv[2]
 
-    def test_unprintable_hermite_integer_is_refused_up_front(self, capsys):
-        # M_0(3, 3001) has over 4300 digits; hermite_M_min_bits proves it
-        # before any of the expansion runs
-        code = run(["hermite", "m", "--n", "3", "--p", "3001", "--k", "0"])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "would print more than 4300 digits" in err and "Traceback" not in err
+    def test_hermite_expansion_past_the_work_bound_is_refused_up_front(self, capsys):
+        # M_0(3, 3001), over 4300 digits, was refused; its expansion's size
+        # N * hermite_M_min_bits is below 2^30, so it prints (0.4 s, 157 MB)
+        code, out = capture(capsys, ["hermite", "m", "--n", "3", "--p", "3001", "--k", "0"])
+        assert code == 0
+        assert intervals._from_decimal(json.loads(out)["M"]) == hermite.hermite_M(3, 3001, 0)
+        for n, p, admitted in [(1, 8191, True), (1, 8209, False), (3, 3041, True),
+                               (3, 3049, False)]:
+            degree = (n + 1) * p - 1
+            assert (degree * hermite.hermite_M_min_bits(n, p) <= 2 ** 30) == admitted
+        # the first prime past the bound at n = 1 (0.3 s, 267 MB) is refused unrun
+        def refuse(*_args):
+            raise AssertionError("the expansion ran")
+
+        start = time.perf_counter()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli.hermite, "hermite_Ms", refuse)
+            code = run(["hermite", "m", "--n", "1", "--p", "8209"])
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.endswith("hyperline: error: hermite m --n 1 --p 8209: "
+                                     "its expansion would hold more than 2^30 bits\n")
 
     @pytest.mark.parametrize("argv,want", [
         (["liouville", "--m", "3", "--n", "50"], 2),
-        (["liouville", "--m", "2", "--n", "6"], 2),
+        (["liouville", "--m", "2", "--n", "6"], 0),
         (["liouville", "--m", "2", "--n", str(10 ** 18)], 2),
         (["liouville", "--m", "1000000000", "--n", "2"], 0),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
     def test_liouville_work_is_bounded_up_front(self, capsys, argv, want):
-        # --n 50 used to build 10^(51!); --m 10^9 used to build q^m
+        # --n 50 used to build 10^(51!); --m 10^9 used to build q^m; --n 6,
+        # whose error_interval end has 5041 digits, was refused and prints
         start = time.perf_counter()
         code = run(argv)
         assert time.perf_counter() - start < 1
-        err = capsys.readouterr().err
+        captured = capsys.readouterr()
         assert code == want
-        assert ("error_interval would print more than 4300 digits" in err) == (want == 2)
+        n = int(argv[-1])
+        if want == 2:
+            assert captured.err == (f"error: 10^({n + 1}!) would have more than "
+                                    f"{2 ** 20} digits\n")
+            return
+        doc = json.loads(captured.out)
+        p, q = hermite.liouville_partial(n)
+        assert (doc["p"], doc["q"]) == (str(p), str(q))
+        assert doc["error_interval"][0] == "1/1" + "0" * math.factorial(n + 1)
 
     def test_hermite_integer_just_below_the_limit_prints(self, capsys):
         # M_1(1, 1307) has 4293 digits; the next prime, 1319, gives 4337
@@ -358,14 +383,14 @@ class TestDeterminismAndExitCodes:
         assert len(json.loads(out)["M"]) == 4293
 
     @pytest.mark.parametrize("p", ["1319", "2039"])
-    def test_hermite_integer_past_the_loose_bound_is_refused(self, capsys, p):
-        # hermite_M_min_bits does not refuse n = 1, p in 1319..2039, whose M
-        # has over 4300 digits: the computed M is checked before it prints
-        code = run(["hermite", "m", "--n", "1", "--p", p])
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert captured.err == (f"error: hermite m --n 1 --p {p}: "
-                                "M would print more than 4300 digits\n")
+    def test_hermite_integer_past_4300_digits_prints(self, capsys, p):
+        # M_0(1, p) for p in 1319..2039 has over 4300 digits: it was refused
+        # once computed, and now prints through the decimal codec
+        code, out = capture(capsys, ["hermite", "m", "--n", "1", "--p", p])
+        assert code == 0
+        m = json.loads(out)["M"]
+        assert len(m) > 4300
+        assert intervals._from_decimal(m) == hermite.hermite_M(1, int(p))
 
     @pytest.mark.parametrize("limit", [10 ** 10 + 1, 10 ** 20])
     def test_goldbach_limit_above_the_cap_is_refused_up_front(self, capsys, monkeypatch,
@@ -378,8 +403,8 @@ class TestDeterminismAndExitCodes:
         code = run(["goldbach", "--limit", str(limit)])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
-        assert f"goldbach --limit {limit}: limits above 10^10 are refused" in captured.err
-        assert "would print more than 4300 digits" in captured.err
+        assert captured.err.endswith(
+            f"hyperline: error: goldbach --limit {limit}: limits above 10^10 are refused\n")
 
     @pytest.mark.parametrize("argv,want,message", [
         # used to allocate a depth-sized array: MemoryError
@@ -393,10 +418,8 @@ class TestDeterminismAndExitCodes:
          "hyperline: error: extsum --depth 100000000: depths above 50000 are refused\n"),
         (["extsum", "--series", "pser(2)", "--depth", str(10 ** 8)], 2,
          "hyperline: error: extsum --depth 100000000: depths above 50000 are refused\n"),
-        # used to print CPython's set_int_max_str_digits hint
-        (["sieve", "--depth", "100000", "--steps", "10000"], 2,
-         "error: sieve --depth 100000 --steps 10000: residual would print more than "
-         "4300 digits\n"),
+        # its residual has over 4300 digits: it was refused, and prints
+        (["sieve", "--depth", "100000", "--steps", "10000"], 0, ""),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
     def test_work_is_bounded(self, capsys, argv, want, message):
         start = time.perf_counter()
@@ -406,7 +429,11 @@ class TestDeterminismAndExitCodes:
         assert code == want
         assert captured.err.endswith(message) and "Traceback" not in captured.err
         if want == 0:
-            assert captured.err == "" and json.loads(captured.out)["removed_bases"] == [2]
+            doc = json.loads(captured.out)
+            assert captured.err == "" and len(doc["removed_bases"]) == int(argv[-1])
+            assert doc == goldbach.euler_sieve(int(argv[2]), int(argv[-1])).to_dict()
+        if argv[2] == "100000":
+            assert len(captured.out.encode()) == 1_046_629 + 1
 
     @pytest.mark.parametrize("series", [
         "geom(1e-20000)", "geom(1e-100000)", "geom(1e-1_000_000_000)", "geom(9999e4300)",
@@ -476,18 +503,58 @@ class TestDeterminismAndExitCodes:
         assert work == 4097 * (len(bin(99 ** 4098)) - 2 + len(bin(100 ** 4098)) - 2)
         assert extsum.table_work(extsum.harmonic_series(), 4096, scale, 1 << 28) == 0
 
-    def test_goldbach_sum_past_the_digit_cap_is_refused(self, capsys, monkeypatch):
-        # the denominator of partial_sum(1000) has 18 digits
-        monkeypatch.setattr(cli, "_MAX_DIGITS", 17)
-        code = run(["goldbach", "--limit", "1000"])
+    def test_output_past_the_stdout_cap_is_refused(self, capsys):
+        # its document renders to 1,050,607 bytes, newline excluded
+        code = run(["sieve", "--depth", "1000000", "--steps", "10000"])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
-        assert captured.err == ("error: goldbach --limit 1000: "
-                                "partial_sum would print more than 17 digits\n")
-        monkeypatch.setattr(cli, "_MAX_DIGITS", 18)
-        code, out = capture(capsys, ["goldbach", "--limit", "1000"])
-        assert code == 0
-        assert len(json.loads(out)["partial_sum"].split("/")[1]) == 18
+        assert captured.err == ("error: output of 1050608 bytes is over the stdout cap "
+                                "of 2^20 - 1 bytes\n")
+        doc = goldbach.euler_sieve(10 ** 6, 10 ** 4).to_dict()
+        assert len(render(doc, "json").encode()) == 1_050_607
+
+    @pytest.mark.parametrize("size,printed", [(2 ** 20 - 2, True), (2 ** 20 - 1, False)])
+    def test_stdout_cap_counts_the_newline(self, capsys, monkeypatch, size, printed):
+        # a document of `size` bytes prints `size + 1`, which must stay under 2^20
+        monkeypatch.setattr(cli, "render", lambda doc, fmt: "7" * size)
+        code = run(["wat", "--expr", "1#"])
+        captured = capsys.readouterr()
+        assert (code, len(captured.out)) == ((0, size + 1) if printed else (2, 0))
+        assert ("over the stdout cap" in captured.err) != printed
+
+    @pytest.mark.parametrize("argv", [
+        ["wat", "--expr", "7" * 5000 + "#"],
+        ["wat", "--expr", "1/" + "7" * 5000 + "#"],
+        ["dirichlet", "--alpha", "1/" + "7" * 5000, "--count", "3"],
+        ["extsum", "--series", "geom(1/2)", "--tolerance", "1/" + "7" * 5000],
+        ["extsum", "--series", "pser(" + "0" * 5000 + "3)"],
+        ["extsum", "--series", "pser(-" + "7" * 5000 + ")"],
+    ], ids=lambda v: " ".join(a[:16] for a in v))
+    def test_long_argv_numbers_read_without_the_digit_limit(self, capsys, argv):
+        # each exited 2 with CPython's set_int_max_str_digits hint
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert "set_int_max_str_digits" not in captured.err
+        if argv[0] == "wat":
+            # a reduced rational r prints as the label r#
+            assert code == 0 and json.loads(captured.out)["canonical"] == argv[2]
+        elif argv[0] == "dirichlet":
+            # 1/N = [0; N]: its last convergent is 1/N itself
+            assert code == 0
+            p, q = [(c["p"], c["q"]) for c in json.loads(captured.out)["convergents"]][-1]
+            assert (p, q) == ("1", "7" * 5000)
+        elif argv[0] == "extsum" and "--tolerance" in argv:
+            # refused by the grid bound, which keeps its figure
+            assert code == 2 and captured.err.endswith(
+                f"error: argument --tolerance: tolerance {argv[-1]!r} would print "
+                "more than 4300 digits\n")
+        elif "-" in argv[2]:
+            assert code == 2 and captured.err.endswith(
+                f"error: argument --series: bad series {argv[2]!r}: exponent must be >= 1\n")
+        else:
+            # the exponent 000...03 is 3, and the series is labelled pser(3)
+            assert code == 0
+            assert captured.out == capture(capsys, ["extsum", "--series", "pser(3)"])[1]
 
     def test_all_zero_split_series_exits_at_once(self):
         # the split cursor used to scan forever for a negative term

@@ -6,8 +6,8 @@ inputs that once broke the CLI: huge integers, odd rationals, decimal
 exponents, nested ``alt(...)``, empty strings and ``geom`` ratios near 1.
 Each argv runs ``python -m hyperline.cli`` in a child process, one at a time,
 which caps its own address space and CPU time in ``preexec_fn``.  Every run
-must exit 0, 2, 3 or 4, print no ``Traceback``, and keep stdout under
-``STDOUT_LIMIT``.  The example count is fixed and the draws derandomized, so
+must exit 0, 2, 3 or 4, print no ``Traceback`` and no hint to raise
+CPython's int/str digit limit, and keep stdout under ``STDOUT_LIMIT``.  The example count is fixed and the draws derandomized, so
 the suite runs the same argvs every time.
 
 ``hermite cert`` is drawn only up to degree 3, since its degree bound is
@@ -32,7 +32,8 @@ STDOUT_LIMIT = 1 << 20
 ADDRESS_SPACE = 1 << 30
 CPU_SECONDS = 30
 
-HUGE = ["9" * 4400, "1" + "0" * 400, str(10 ** 18 + 1), str(2 ** 64), "-" + "9" * 40]
+HUGE = ["9" * 4400, "1" + "0" * 400, str(10 ** 18 + 1), str(2 ** 64), "-" + "9" * 40,
+        "7" * 5000, "0" * 5000 + "3"]
 ODD = ["", " ", "-0", "1.5", "1e3", "0x10", "1_000", "nan", "inf", "1/0", "x"]
 
 integers = st.one_of(st.integers(-3, 40).map(str), st.sampled_from(HUGE + ODD))
@@ -69,7 +70,7 @@ cert_coefficients = st.lists(
     min_size=1, max_size=4).map(",".join)
 wat_expressions = st.lists(
     st.sampled_from(["1#", "-3/4#", "eps_d", "DELTA_d", "+", "-", "1/0#", "bogus",
-                     "9" * 50 + "#", ""]), max_size=6).map(" ".join)
+                     "9" * 50 + "#", "9" * 5000 + "#", ""]), max_size=6).map(" ".join)
 
 COMMANDS = {
     "sieve": _command("sieve", {"steps": integers},
@@ -102,6 +103,7 @@ def check_run(argv):
     shown = [a if len(a) < 80 else a[:40] + f"...({len(a)} chars)" for a in argv]
     assert proc.returncode in (0, 2, 3, 4), (shown, proc.returncode, err[-2000:])
     assert "Traceback" not in err, (shown, err[-2000:])
+    assert "set_int_max_str_digits" not in err, (shown, err[-2000:])
     assert len(proc.stdout) < STDOUT_LIMIT, (shown, len(proc.stdout))
 
 
@@ -112,6 +114,23 @@ FUZZ = dict(derandomize=True, deadline=None, database=None,
 @settings(max_examples=30, **FUZZ)
 @given(EXTSUM)
 def test_extsum_exits_cleanly(argv):
+    check_run(argv)
+
+
+# numbers of 5000 digits that once reached int() or Fraction() unguarded and
+# exited 2 with CPython's hint; the draws above need not reach them
+LONG_NUMBERS = [
+    ["wat", "--expr", "9" * 5000 + "#"],
+    ["wat", "--expr", "1/" + "7" * 5000 + "#"],
+    ["dirichlet", "--alpha", "1/" + "7" * 5000, "--count", "3"],
+    ["extsum", "--series", "geom(1/2)", "--tolerance", "1/" + "7" * 5000],
+    ["extsum", "--series", "pser(" + "0" * 5000 + "3)"],
+    ["extsum", "--series", "pser(-" + "7" * 5000 + ")"],
+]
+
+
+@pytest.mark.parametrize("argv", LONG_NUMBERS, ids=lambda v: " ".join(a[:12] for a in v))
+def test_long_numbers_exit_cleanly(argv):
     check_run(argv)
 
 

@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hyperline import intervals as iv
 from hyperline.intervals import Interval
 
 F = Fraction
@@ -72,3 +74,87 @@ class TestContainment:
         wide = a.widen(margin)
         assert wide.lo <= a.lo and a.hi <= wide.hi
         assert wide.width == a.width + 2 * margin
+
+
+def _decimal_reference(text):
+    """The integer of a digit string, by Horner's rule over 1000-digit pieces."""
+    value = 0
+    for i in range(0, len(text), 1000):
+        piece = text[i:i + 1000]
+        value = value * 10 ** len(piece) + int(piece)
+    return value
+
+
+class TestDecimalChunks:
+    """The decimal codec, past CPython's 4300-digit int <-> str limit."""
+
+    @pytest.mark.parametrize("length", [1, 2999, 3000, 3001, 4300, 4301, 9001, 40000])
+    def test_round_trip(self, length):
+        rng = random.Random(length)
+        for lead in "19":
+            text = lead + "".join(rng.choice("0123456789") for _ in range(length - 1))
+            x = _decimal_reference(text)
+            assert iv._from_decimal(text) == x
+            assert iv._to_decimal(x) == text
+            assert iv._to_decimal(-x) == "-" + text
+            assert iv._from_decimal("-" + text) == -x
+            assert iv.read_int(text) == x and iv.read_int(" -" + text + "\n") == -x
+            assert iv.read_fraction(f"-{text}/{text}7") == F(-x, 10 * x + 7)
+            assert iv.read_fraction(f"{text}e-{length}") == F(x, 10 ** length)
+        # the zero padding of each low half
+        for x in (10 ** length - 1, 10 ** length + 1, 3 * 10 ** length):
+            assert iv._from_decimal(iv._to_decimal(x)) == x
+        assert iv._to_decimal(10 ** length) == "1" + "0" * length
+
+    @pytest.mark.parametrize("text", ["", "-", "+5", " 5", "5_000", "1.5", "\u0663",
+                                      "1e5", "0x10"])
+    def test_rejects_non_decimal(self, text):
+        with pytest.raises(ValueError):
+            iv._from_decimal(text)
+
+    def test_fractions_print_as_str(self):
+        for q in (F(0), F(-3), F(5, 7), F(-2 ** 64 - 1, 3 ** 40)):
+            assert iv._fraction_to_text(q) == str(q)
+            assert iv._fraction_from_text(str(q)) == q
+
+
+# int() and Fraction() syntax the command line has always accepted, and
+# refused, below the digit limit
+INT_TEXTS = ["0", "-0", "+7", " 12 ", "\t-3\n", "1_000", "007", "\u0663\u0664", "",
+             " ", "-", "1__0", "_1", "1_", "1.5", "1e3", "0x10", "x", "- 1", "\u00b2"]
+FRACTION_TEXTS = INT_TEXTS + ["1/2", "-3/4", " +5/6 ", "1/0", "0/0", "1/-2", "1.25",
+                              "-.5", "5.", "1e-3", "2E+2", "1_0.0_1", "nan", "inf",
+                              "-Infinity", "1/2/3", "/2", "1/", "1 /2", "x/2", "1_.5", "1._5",
+                              "1e_5", "1e5_0", "\u0663.\u0664", "1.5_", "sNaN", ".", "e5"]
+
+
+def _outcome(function, text):
+    try:
+        return function(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+class TestReadArgv:
+    """``read_int`` and ``read_fraction`` read command-line numbers as
+    ``int()`` and ``Fraction()`` do, with no limit on the digits."""
+
+    @pytest.mark.parametrize("text", INT_TEXTS)
+    def test_read_int_is_int(self, text):
+        assert _outcome(iv.read_int, text) == _outcome(int, text)
+
+    @pytest.mark.parametrize("text", FRACTION_TEXTS)
+    def test_read_fraction_is_fraction(self, text):
+        # p/q is read as Fraction(int(p), int(q)), which also takes inner
+        # whitespace and a signed q; everything else as Fraction reads it
+        num, slash, den = text.partition("/")
+        parts = [_outcome(int, part) for part in (num, den)]
+        if slash and all(isinstance(part, int) for part in parts):
+            want = _outcome(lambda _: Fraction(*parts), text)
+        else:
+            want = _outcome(Fraction, text)
+        assert _outcome(iv.read_fraction, text) == want
+
+    def test_long_text_is_capped(self):
+        with pytest.raises(ValueError, match="cap"):
+            iv.read_int("7" * (iv._MAX_DECIMAL_CHARS + 1))

@@ -406,6 +406,11 @@ HALF_WINDOW_CALLERS = {
     "rel_S": lambda leaf, d: rel_holds("S", *_unabsorbed_pair(leaf), wb.EPS_IDEM, d),
     "dd_scalar_mul": lambda leaf, d: dd_scalar_mul(leaf(lambda n: F(n + 1, 2)), _b_one(d), d),
     "eps_part": lambda leaf, d: eps_part(_b_one(d), leaf(lambda n: F(1, n + 1)), d),
+    # eps_d's idempotent was checked at 4096: its rescaled scale is checked
+    # at the operation's depth, and reads [2048, 4096] no more
+    "dd_scalar_mul eps_d": lambda leaf, d: dd_scalar_mul(leaf(lambda n: F(n + 1, 2)),
+                                                         eps_d(), d),
+    "eps_part eps_d": lambda leaf, d: eps_part(eps_d(), leaf(lambda n: F(1, n + 1)), d),
     "Idempotent.b": lambda leaf, d: Idempotent.b(leaf(lambda n: F(n + 1)), d),
     "upper_lower_limit": lambda leaf, d: extsum.upper_lower_limit(
         leaf(lambda n: F(min(n, 5))), depth=d),
