@@ -47,6 +47,11 @@ _MAX_SIEVE_STEPS = 10 ** 4
 _MAX_SIEVE_DEPTH = 10 ** 18
 _MAX_EXTSUM_DEPTH = 5 * 10 ** 4
 _MAX_TABLE_WORK = 1 << 28
+# wat: the named idempotents' forms decide every sum without a scan, but a
+# sign scan of two form-free leaves over [depth/2, depth] took 0.15 s at depth
+# 2^16, 1.2 s at 2^20 and 4.7 s at 2^22, at about 16 MB; past 2^20 a scan
+# would read more than 2^19 + 1 indices
+_MAX_WAT_DEPTH = 1 << 20
 # hermite m: the expansion of degree N = (n+1)p - 1 takes about n N big-integer
 # steps, which hermite_M_min_bits, 0 for a small p, does not bound: n N = 80200
 # (--n 200 --p 2) took 0.24 s, 180300 (--n 300 --p 2) 1.3 s, 500500 7.6 s; peak
@@ -96,7 +101,7 @@ def _tolerance(text: str) -> Fraction:
 
 def _depth(text: str) -> int:
     try:
-        value = int(text)
+        value = read_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"depth must be an integer, got {text!r}") from None
     if value < 1:
@@ -163,9 +168,12 @@ def _check_output_size(parser, args):
     if args.command == "sieve" and args.steps > _MAX_SIEVE_STEPS:
         parser.error(f"sieve --steps {args.steps}: steps above 10^4 are refused")
     if args.command == "sieve" and depth > _MAX_SIEVE_DEPTH:
-        parser.error(f"sieve --depth {depth}: depths above 10^18 are refused")
+        parser.error(f"sieve --depth {_to_decimal(depth)}: depths above 10^18 are refused")
     if args.command == "extsum" and depth > _MAX_EXTSUM_DEPTH:
-        parser.error(f"extsum --depth {depth}: depths above 50000 are refused")
+        parser.error(f"extsum --depth {_to_decimal(depth)}: depths above 50000 are refused")
+    if args.command == "wat" and depth > _MAX_WAT_DEPTH:
+        parser.error(f"wat --depth {_to_decimal(depth)}: a sign scan of [depth/2, depth] "
+                     f"would read more than 2^19 + 1 indices")
     if args.command == "extsum" and extsum.table_work(
             args.series, depth, seqfield.shadow_scale(args.tolerance, depth),
             _MAX_TABLE_WORK) > _MAX_TABLE_WORK:

@@ -21,11 +21,16 @@ from .intervals import Interval, _fraction_to_text
 
 
 def perfect_powers(limit: int) -> List[int]:
-    """Sorted, deduplicated m^n <= limit with m, n >= 2: the squares, plus
-    the powers m^n with odd n >= 3 that are not squares (an even exponent
-    gives a square)."""
+    """Sorted, deduplicated m^n <= limit with m, n >= 2: the squares plus
+    ``_odd_powers``."""
     if limit < 0:
         raise ValueError("limit must be >= 0")
+    return sorted([m * m for m in range(2, isqrt(limit) + 1)] + _odd_powers(limit))
+
+
+def _odd_powers(limit: int) -> List[int]:
+    """The perfect powers up to limit that are not squares: m^n with odd
+    n >= 3 (an even exponent gives a square), deduplicated, in any order."""
     odd = set()
     exponent = 3
     while (1 << exponent) <= limit:
@@ -38,7 +43,7 @@ def perfect_powers(limit: int) -> List[int]:
                 odd.add(value)
             base += 1
         exponent += 2
-    return sorted([m * m for m in range(2, isqrt(limit) + 1)] + list(odd))
+    return list(odd)
 
 
 def _integer_root(k: int, exponent: int) -> int:
@@ -79,10 +84,19 @@ def _sum_reciprocals(values) -> Fraction:
 
 
 def partial_sum(limit: int) -> Fraction:
-    """Exact sum of 1/(k-1) over perfect powers k <= limit."""
+    """Exact sum of 1/(k-1) over perfect powers k <= limit.
+
+    The squares m^2, m = 2..s, s = isqrt(limit), telescope:
+    1/(m^2-1) = (1/(m-1) - 1/(m+1))/2, so all but 1/1 + 1/2 and
+    1/s + 1/(s+1) cancel, and they add (3/2 - 1/s - 1/(s+1))/2 =
+    3/4 - (2s+1)/(2s(s+1)).  Only the other powers, ``_odd_powers``, are
+    summed one by one.
+    """
     if limit < 4:
         raise ValueError("limit must be >= 4 (the first perfect power)")
-    return _sum_reciprocals(k - 1 for k in perfect_powers(limit))
+    s = isqrt(limit)
+    squares = Fraction(3, 4) - Fraction(2 * s + 1, 2 * s * (s + 1))
+    return squares + _sum_reciprocals(k - 1 for k in _odd_powers(limit))
 
 
 def tail_bound(limit: int) -> Fraction:

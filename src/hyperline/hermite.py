@@ -14,16 +14,17 @@ that p divides every M_k (k >= 1) but not the k = 0 contribution, squeeze
 part of the combination cannot vanish.
 
 Every e^k comes from one fixed-point kernel, an integer bracket of
-e^k * 2^K from the floored terms of its exponential series with an explicit
-remainder bound; pi comes only from Machin's arctangent series, summed the
-same way.  Intervals built from them are exact-rational.
+e^k * 2^K cut from one integer bracket of e 2^r: the floored terms of e's
+series with an explicit remainder bound, summed once per power-of-two scale
+r and kept; pi comes only from Machin's arctangent series, summed the same
+way.  Intervals built from them are exact-rational.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, factorial, isqrt, lcm
+from math import factorial, isqrt, lcm
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .errors import (IdentityViolated, PrecisionExhausted, RadiusViolation,
@@ -182,30 +183,52 @@ def hermite_M(n: int, p: int, k: int = 0) -> int:
     return hermite_Ms(n, p)[k]
 
 
+# r -> (E_r, H_r) of _e_scale, for the power-of-two scales r >= 64 read so
+# far; a race recomputes the same pair
+_E_SCALES: Dict[int, Tuple[int, int]] = {}
+
+
+def _e_scale(r: int) -> Tuple[int, int]:
+    """(E_r, H_r): integers with E_r <= e 2^r < H_r = E_r + j_r + 2, j_r <= r + 2.
+
+    The floors nest: q_i = q_(i-1) // i = floor(2^r / i!).  E_r = q_0 + ... +
+    q_(j-1), j = j_r the first index with q_j = 0 (j! > 2^r, and (r+2)! >=
+    2^(r+1), so j <= r+2).  The j floors lose under a unit each and the tail
+    is below (2^r / j!)(1 + 1/2 + ...) < 2, so e 2^r < E_r + j + 2.
+    """
+    bracket = _E_SCALES.get(r)
+    if bracket is None:
+        q, E, j = 1 << r, 0, 0
+        while q:
+            E += q
+            j += 1
+            q //= j
+        bracket = _E_SCALES.setdefault(r, (E, E + j + 2))
+    return bracket
+
+
 def _exp_brackets(n: int, K: int) -> List[Tuple[int, int]]:
     """[(lo_k, hi_k) for k = 0..n]: integers with lo_k <= e^k 2^K < hi_k and
-    hi_k - lo_k <= 2, all from one series for e (n, K >= 0).
+    hi_k - lo_k <= 2, all from one bracket of e (n, K >= 0).
 
-    At F = K + 2n + b + 1, b = (K + 2n + 4).bit_length(), the floors nest:
-    q_i = q_(i-1) // i = floor(2^F / i!).  E = q_0 + ... + q_(j-1), j the
-    first index with q_j = 0 (j! > 2^F, and (F+2)! >= 2^(F+1), so j <= F+2).
-    The j floors lose under a unit each and the tail is below
-    (2^F / j!)(1 + 1/2 + ...) < 2, so E <= e 2^F < H = E + j + 2, and
+    At F = K + 2n + b + 1, b = (K + 2n + 4).bit_length(), the bracket of e 2^F
+    is cut from the series at scale r, the least power of two >= max(F, 64),
+    which depends on F alone: with t = r - F, E = floor(E_r / 2^t) and
+    H = ceil(H_r / 2^t), so E <= e 2^F < H.  H - E <= F + 4: at t = 0 it is
+    j_r + 2 <= r + 4 = F + 4; at t >= 1, H - E < (H_r - E_r) / 2^t + 2 <=
+    (F + t + 4) / 2^t + 2 <= (F + 5)/2 + 2 <= F + 4.
     lo_k = floor(E^k 2^(K-kF)), hi_k = floor(H^k 2^(K-kF)) + 1 bracket e^k 2^K.
     Width: hi_k - lo_k < D + 2, D = (H^k - E^k) 2^(K-kF), and D < 1: D = 0 at
-    k = 0; H - E = j + 2 <= F + 4 = (K + 2n + 4) + b + 1 <= 2^b + b <= 2^(b+1);
+    k = 0; H - E <= F + 4 = (K + 2n + 4) + b + 1 <= 2^b + b <= 2^(b+1);
     as F - K = 2n + b + 1, D <= 2^-2n at k = 1; for k >= 2, n >= 2 and F >= 8,
     so F + 4 <= 2^F / 4 and, as e < 11/4, H < 3 2^F; with H^k - E^k <=
     k (H - E) H^(k-1) and k 3^(k-1) <= 4^k (a term of (3+1)^k),
     D < 4^k 2^(b+1) 2^(K-F) = 2^(2k-2n) <= 1.
     """
     F = K + 2 * n + (K + 2 * n + 4).bit_length() + 1
-    q, E, j = 1 << F, 0, 0
-    while q:
-        E += q
-        j += 1
-        q //= j
-    H = E + j + 2
+    r = 1 << (max(F, 64) - 1).bit_length()
+    E_r, H_r = _e_scale(r)
+    E, H = E_r >> (r - F), -(-H_r >> (r - F))
     return [((E ** k << K) >> k * F, ((H ** k << K) >> k * F) + 1)
             for k in range(n + 1)]
 
@@ -376,7 +399,7 @@ def _certify_eps(n: int, p: int, scaled: List[int],
             lo, hi = sorted(scaled[k] * (e * m0 - (m_values[k] << K))
                             for e in brackets[k])
             total_lo, total_hi = total_lo + lo, total_hi + hi
-        bound = _round_up_dyadic(Fraction(max(-total_lo, total_hi), 1 << K))
+        bound = _round_up_dyadic(max(-total_lo, total_hi), K)
         if bound < Fraction(1, 2):
             return True, bound
         if total_lo << 1 >= 1 << K or total_hi << 1 <= -(1 << K):
@@ -385,11 +408,13 @@ def _certify_eps(n: int, p: int, scaled: List[int],
     return False, Fraction(0)
 
 
-def _round_up_dyadic(x: Fraction) -> Fraction:
-    """The least m / 2^s >= x with m of about 64 bits, for x >= 0."""
-    shift = 64 - x.numerator.bit_length() + x.denominator.bit_length()
-    scale = Fraction(2) ** shift
-    return ceil(x * scale) / scale
+def _round_up_dyadic(m: int, K: int) -> Fraction:
+    """The least c / 2^s >= m / 2^K, s = K + 65 - m.bit_length(), for m >= 0:
+    c = ceil(m 2^(65 - m.bit_length())) has at most 65 bits.  s is 64 less
+    the bit length of the reduced fraction's numerator plus its
+    denominator's, both smaller by the factors of two they share."""
+    bits = m.bit_length()
+    return Fraction(-(-m << 65 >> bits)) / Fraction(2) ** (K + 65 - bits)
 
 
 def certificate_from_dict(doc: dict) -> HermiteCertificate:
@@ -467,14 +492,22 @@ def verify_certificate(cert: HermiteCertificate, digits: int = 60) -> bool:
 
 
 def combination_interval(coefficients, tolerance) -> Interval:
-    """Interval for sum b_k e^k at the requested absolute tolerance."""
+    """Interval for sum b_k e^k at the requested absolute tolerance.
+
+    Summed in integers over D 2^K, D the common denominator: with s_k =
+    b_k D and lo_k <= e^k 2^K <= hi_k from _exp_brackets, the term s_k e^k 2^K
+    lies in [s_k lo_k, s_k hi_k], the ends swapped when s_k < 0."""
     b = [Fraction(c) for c in coefficients]
     n = len(b) - 1
     K = _exp_bits(Fraction(tolerance) / max(1, sum(map(abs, b[1:]))))
-    total = Interval.point(b[0])
-    for power, coefficient in zip(_exp_intervals(n, K)[1:], b[1:]):
-        total = total + power * coefficient
-    return total
+    denom = lcm(*(c.denominator for c in b))
+    scaled = [c.numerator * (denom // c.denominator) for c in b]
+    lo = hi = scaled[0] << K
+    for s, (e_lo, e_hi) in zip(scaled[1:], _exp_brackets(n, K)[1:]):
+        if s < 0:
+            e_lo, e_hi = e_hi, e_lo
+        lo, hi = lo + s * e_lo, hi + s * e_hi
+    return Interval(Fraction(lo, denom << K), Fraction(hi, denom << K))
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,8 @@ def _from_decimal(text) -> int:
         raise ValueError(f"expected a decimal string, got {type(text).__name__}")
     if not _DECIMAL_TEXT.fullmatch(text):
         raise ValueError(f"not a decimal integer: {text[:40]!r}")
+    if len(text) <= _DIGIT_CHUNK:  # ASCII digits only: int() reads it whole
+        return int(text)
     return read_int(text)
 
 

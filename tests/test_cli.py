@@ -435,6 +435,35 @@ class TestDeterminismAndExitCodes:
         if argv[2] == "100000":
             assert len(captured.out.encode()) == 1_046_629 + 1
 
+    @pytest.mark.parametrize("depth,want", [
+        ("1048576", 0), ("1048577", 2), ("1" + "0" * 400, 2), ("7" * 5000, 2)],
+        ids=lambda v: v[:12] if isinstance(v, str) else None)
+    def test_wat_depth_is_capped_by_its_scan_work(self, capsys, depth, want):
+        # forms decide every wat sum without a scan, but a depth past 2^20
+        # would let a sign scan read more than 2^19 + 1 indices
+        code = run(["wat", "--expr", "1#+eps_d", "--depth", depth])
+        captured = capsys.readouterr()
+        assert code == want and "Traceback" not in captured.err
+        if want == 0:
+            assert json.loads(captured.out)["canonical"] == "1# + eps_d"
+        else:
+            assert captured.out == "" and captured.err.endswith(
+                f"hyperline: error: wat --depth {depth}: a sign scan of [depth/2, depth] "
+                "would read more than 2^19 + 1 indices\n")
+
+    @pytest.mark.parametrize("argv,message", [
+        (["sieve", "--steps", "1"], "depths above 10^18 are refused"),
+        (["extsum", "--series", "geom(1/2)"], "depths above 50000 are refused"),
+        (["wat", "--expr", "1#"],
+         "a sign scan of [depth/2, depth] would read more than 2^19 + 1 indices"),
+    ], ids=lambda v: v[0] if isinstance(v, list) else None)
+    def test_depth_past_4300_digits_meets_the_work_caps(self, capsys, argv, message):
+        depth = "7" * 5000
+        code = run(argv + ["--depth", depth])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.endswith(f"error: {argv[0]} --depth {depth}: {message}\n")
+
     @pytest.mark.parametrize("series", [
         "geom(1e-20000)", "geom(1e-100000)", "geom(1e-1_000_000_000)", "geom(9999e4300)",
         "alt(geom(-1/1" + "0" * 4300 + "))", "geom(1/" + "7" * 4301 + ")"],

@@ -52,7 +52,8 @@ leaves = st.one_of(
     st.sampled_from(["harmonic", "powers_recip", "", "geom", "pser()", "harmonic(3)",
                      "alt()", "nope(1)"]))
 series = st.recursive(leaves, lambda inner: inner.map(lambda s: f"alt({s})"), max_leaves=3)
-depths = st.one_of(integers, st.sampled_from(["50000", "50001", "20000", "4096"]))
+depths = st.one_of(integers, st.sampled_from(["50000", "50001", "20000", "4096", "1048576",
+                                             "1048577", "7" * 5000, "0" * 5000 + "3"]))
 
 
 def _command(name, required, optional):
@@ -126,6 +127,8 @@ LONG_NUMBERS = [
     ["extsum", "--series", "geom(1/2)", "--tolerance", "1/" + "7" * 5000],
     ["extsum", "--series", "pser(" + "0" * 5000 + "3)"],
     ["extsum", "--series", "pser(-" + "7" * 5000 + ")"],
+    ["wat", "--expr", "1#+eps_d", "--depth", "7" * 5000],
+    ["extsum", "--series", "geom(1/2)", "--depth", "7" * 5000],
 ]
 
 

@@ -155,7 +155,29 @@ class TestPowersReciprocalSeries:
         assert all(later >= 4 * earlier for earlier, later in zip(limits, limits[1:]))
 
 
+def reference_partial_sum(limit):
+    """partial_sum as one product tree over every perfect power, the squares
+    summed one by one too."""
+    return gb._sum_reciprocals(k - 1 for k in perfect_powers(limit))
+
+
 class TestPartialSum:
+    def test_matches_the_product_tree_at_every_small_limit(self):
+        for limit in range(4, 2 * 10 ** 4 + 1):
+            assert partial_sum(limit) == reference_partial_sum(limit), limit
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(st.integers(4, 10 ** 7),
+                     st.tuples(st.integers(2, 3162), st.integers(-1, 1))
+                     .map(lambda mo: max(4, mo[0] ** 2 + mo[1]))))
+    def test_matches_the_product_tree(self, limit):
+        assert partial_sum(limit) == reference_partial_sum(limit)
+
+    def test_odd_powers_are_the_non_squares(self):
+        for limit in (0, 7, 8, 64, 10 ** 5):
+            odd = gb._odd_powers(limit)
+            assert sorted(odd) == [k for k in brute_force_powers(limit) if isqrt(k) ** 2 != k]
+
     def test_first_terms(self):
         assert partial_sum(4) == F(1, 3)
         assert partial_sum(9) == F(1, 3) + F(1, 7) + F(1, 8)

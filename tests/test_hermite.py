@@ -2,10 +2,12 @@ import hashlib
 import json
 import time
 from fractions import Fraction
-from math import factorial, gcd
+from math import ceil, factorial, gcd
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.ntheory.continued_fraction import (continued_fraction_convergents,
                                               continued_fraction_iterator)
 
@@ -245,6 +247,99 @@ class TestFixedPointKernel:
         assert E_50 < hermite._e_upper() < E_50 + F(1, 2 ** 56)
 
 
+def _pairs_at_scale_edges():
+    """(n, K) whose bracket is cut at F = K + 2n + bits(K + 2n + 4) + 1 on
+    both sides of the scales 64, 128 and 4096; F = 64 reads the scale
+    itself, F = 65 the next one."""
+    pairs = []
+    for F in (63, 64, 65, 127, 128, 129, 4095, 4096, 4097):
+        found = [(n, K) for n in (1, 2, 3, 4, 8) for K in range(max(0, F - 40), F)
+                 if K + 2 * n + (K + 2 * n + 4).bit_length() + 1 == F]
+        assert found, F
+        pairs += found
+    return pairs
+
+
+SCALE_EDGE_PAIRS = _pairs_at_scale_edges()
+
+
+def _e_series(bits):
+    """(T, N, N!) with sum_{i<=N} 1/i! = T / N! and N! N > 2^bits, so that
+    T / N! <= e < (T + 1/N) / N!: the rest of the series is below
+    (1/(N+1)!)(1 + 1/(N+2) + ...) < 1/(N! N)."""
+    N, fact = 1, 1
+    while fact * N <= 1 << bits:
+        N += 1
+        fact *= N
+    total, term = 0, 1
+    for i in range(N, -1, -1):  # N!/i! from i = N down
+        total += term
+        term *= i
+    return total, N, fact
+
+
+class TestScaleCache:
+    """_exp_brackets cuts e 2^F from the kept bracket at the power-of-two
+    scale above F: its result must not depend on which scales are kept."""
+
+    def _brackets(self, order):
+        return {(n, K): hermite._exp_brackets(n, K) for n, K in order}
+
+    def test_brackets_do_not_depend_on_the_cache(self, monkeypatch):
+        # every n <= 8 with K up to 300 and near 4096: a bracket cut from a
+        # larger kept scale than its own differs in a few percent of them
+        pairs = {(n, K) for n in range(9) for K in [*range(301), *range(4030, 4101)]}
+        by_scale = sorted(pairs | set(SCALE_EDGE_PAIRS), key=lambda nK: (nK[1] + 2 * nK[0], nK))
+        monkeypatch.setattr(hermite, "_E_SCALES", {})
+        ascending = self._brackets(by_scale)
+        assert sorted(hermite._E_SCALES) == [64, 128, 256, 512, 4096, 8192]
+        monkeypatch.setattr(hermite, "_E_SCALES", {})
+        descending = self._brackets(reversed(by_scale))
+        assert ascending == descending
+        monkeypatch.setattr(hermite, "_E_SCALES", {})
+        assert self._brackets(by_scale[:1]) == {by_scale[0]: ascending[by_scale[0]]}
+
+    @pytest.mark.parametrize("n,K", SCALE_EDGE_PAIRS)
+    def test_brackets_hold_e_powers_at_scale_edges(self, n, K):
+        total, N, fact = _e_series(K + 4 * n + 80)
+        for k, (lo, hi) in enumerate(hermite._exp_brackets(n, K)):
+            # lo <= e^k 2^K < hi against T^k / N!^k <= e^k < (T + 1/N)^k / N!^k
+            assert lo * fact ** k <= total ** k << K
+            assert (total * N + 1) ** k << K < hi * (fact * N) ** k
+            assert hi - lo <= 2
+
+    def test_scale_is_the_power_of_two_above_F(self, monkeypatch):
+        monkeypatch.setattr(hermite, "_E_SCALES", {})
+        for F, r in ((4, 64), (63, 64), (64, 64), (65, 128), (4096, 4096), (4097, 8192)):
+            # n = 0: F = K + bits(K + 4) + 1
+            K = next(K for K in range(F) if K + (K + 4).bit_length() + 1 == F)
+            hermite._E_SCALES.clear()
+            hermite._exp_brackets(0, K)
+            assert list(hermite._E_SCALES) == [r], (F, K)
+
+
+def reference_combination_interval(coefficients, tolerance):
+    """combination_interval summed in Fraction intervals."""
+    b = [F(c) for c in coefficients]
+    K = hermite._exp_bits(F(tolerance) / max(1, sum(map(abs, b[1:]))))
+    total = Interval.point(b[0])
+    for power, coefficient in zip(hermite._exp_intervals(len(b) - 1, K)[1:], b[1:]):
+        total = total + power * coefficient
+    return total
+
+
+class TestCombinationInterval:
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.one_of(st.just(F(0)), st.fractions(-200, 200, max_denominator=60)),
+                    min_size=1, max_size=8),
+           st.integers(0, 150))
+    def test_matches_fraction_intervals(self, coefficients, digits):
+        tolerance = F(1, 10 ** digits)
+        got = combination_interval(coefficients, tolerance)
+        assert got == reference_combination_interval(coefficients, tolerance)
+        assert got.width <= tolerance
+
+
 class TestHermiteEps:
     def test_eps_1_3_is_32e_minus_87(self):
         estimate = hermite_eps(1, 3, 1)
@@ -433,16 +528,21 @@ class TestLargeCertificate:
 
     def test_rounded_bound_covers_exact_bound(self, monkeypatch):
         cert = nonvanish_certificate(self.COEFFS)
-        monkeypatch.setattr(hermite, "_round_up_dyadic", lambda x: x)
+        monkeypatch.setattr(hermite, "_round_up_dyadic", lambda m, K: F(m, 2 ** K))
         ok, exact = hermite._certify_eps(3, cert.prime, [126, 1, 1, -2], cert.M)
         assert ok
         assert exact != cert.eps_total_bound
         assert exact <= cert.eps_total_bound < F(1, 2)
 
-    @pytest.mark.parametrize("x", [F(0), F(1, 3), F(205, 6048), F(7, 2 ** 90),
-                                   F(3 ** 200, 7 ** 100), F(2 ** 70 + 1)])
-    def test_dyadic_rounding(self, x):
-        rounded = hermite._round_up_dyadic(x)
+    @pytest.mark.parametrize("m,K", [(0, 0), (0, 40), (1, 0), (205, 11), (7, 90),
+                                     (3 ** 200, 300), (2 ** 70 + 1, 0), (2 ** 70 + 1, 200),
+                                     (5 << 100, 3), (2 ** 65 - 1, 64), (2 ** 66 - 1, 1)])
+    def test_dyadic_rounding(self, m, K):
+        x = F(m, 2 ** K)
+        rounded = hermite._round_up_dyadic(m, K)
+        # the same rounding as of the reduced fraction m / 2^K
+        shift = 64 - x.numerator.bit_length() + x.denominator.bit_length()
+        assert rounded == ceil(x * F(2) ** shift) / F(2) ** shift
         assert x <= rounded <= x * (1 + F(1, 2 ** 63))
         num, den = rounded.numerator, rounded.denominator
         assert den & (den - 1) == 0

@@ -112,6 +112,22 @@ class TestDecimalChunks:
         with pytest.raises(ValueError):
             iv._from_decimal(text)
 
+    @given(st.sampled_from(["", "-"]), st.integers(0, 4),
+           st.sampled_from([1, 2, 40, 2999, 3000, 3001]), st.integers(0, 2 ** 32))
+    def test_from_decimal_is_read_int(self, sign, zeros, count, seed):
+        # int() up to _DIGIT_CHUNK characters, read_int past it; the text of
+        # 2999 to 3001 digits is 2999 to 3002 characters long with its sign
+        digits = "0" * zeros + "".join(random.Random(seed).choices("0123456789", k=count))
+        text = sign + digits[:count]
+        assert iv._from_decimal(text) == iv.read_int(text)
+
+    @pytest.mark.parametrize("length", [2999, 3000, 3001])
+    def test_from_decimal_at_the_chunk_length(self, length):
+        for text in ("7" * length, "0" * (length - 1) + "7", "-" + "9" * (length - 1),
+                     "-" + "0" * (length - 1)):
+            want = -_decimal_reference(text[1:]) if text[0] == "-" else _decimal_reference(text)
+            assert iv._from_decimal(text) == iv.read_int(text) == want
+
     def test_fractions_print_as_str(self):
         for q in (F(0), F(-3), F(5, 7), F(-2 ** 64 - 1, 3 ** 40)):
             assert iv._fraction_to_text(q) == str(q)
