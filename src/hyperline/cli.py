@@ -99,6 +99,15 @@ def _tolerance(text: str) -> Fraction:
     return value
 
 
+def _integer(text: str) -> int:
+    """``int`` with argparse's own refusal, for a decimal of any length up to
+    the 2^20 cap: a long value meets the work caps, not int()'s digit limit."""
+    try:
+        return read_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _depth(text: str) -> int:
     try:
         value = read_int(text)
@@ -166,7 +175,7 @@ def _check_output_size(parser, args):
     scale).  What may print is bounded by `run`'s stdout cap alone."""
     depth = getattr(args, "depth", 0)  # unset only where no cap reads it
     if args.command == "sieve" and args.steps > _MAX_SIEVE_STEPS:
-        parser.error(f"sieve --steps {args.steps}: steps above 10^4 are refused")
+        parser.error(f"sieve --steps {_to_decimal(args.steps)}: steps above 10^4 are refused")
     if args.command == "sieve" and depth > _MAX_SIEVE_DEPTH:
         parser.error(f"sieve --depth {_to_decimal(depth)}: depths above 10^18 are refused")
     if args.command == "extsum" and depth > _MAX_EXTSUM_DEPTH:
@@ -177,18 +186,17 @@ def _check_output_size(parser, args):
     if args.command == "extsum" and extsum.table_work(
             args.series, depth, seqfield.shadow_scale(args.tolerance, depth),
             _MAX_TABLE_WORK) > _MAX_TABLE_WORK:
-        parser.error(f"extsum --series {args.series.label} --depth {depth}: its partial "
+        parser.error(f"extsum --series {args.series.label} --depth {_to_decimal(depth)}: its partial "
                      f"sums would floor more than 2^28 bits of terms")
     if args.command == "goldbach" and args.limit > _MAX_GOLDBACH_LIMIT:
-        parser.error(f"goldbach --limit {args.limit}: limits above 10^10 are refused")
+        parser.error(f"goldbach --limit {_to_decimal(args.limit)}: limits above 10^10 are refused")
     if args.command == "hermite" and args.hermite_command == "m":
         degree = (args.n + 1) * args.p - 1
+        n_p = f"hermite m --n {_to_decimal(args.n)} --p {_to_decimal(args.p)}"
         if args.n * degree > _MAX_EXPANSION:
-            parser.error(f"hermite m --n {args.n} --p {args.p}: n times the degree "
-                         f"(n+1)p - 1 above 2^17 is refused")
+            parser.error(f"{n_p}: n times the degree (n+1)p - 1 above 2^17 is refused")
         if degree * hermite.hermite_M_min_bits(args.n, args.p) > _MAX_EXPANSION_BITS:
-            parser.error(f"hermite m --n {args.n} --p {args.p}: its expansion would "
-                         f"hold more than 2^30 bits")
+            parser.error(f"{n_p}: its expansion would hold more than 2^30 bits")
     if args.command == "hermite" and args.hermite_command == "cert" and \
             _cert_start_bits(args) > _MAX_CERT_BITS:
         parser.error(f"hermite cert --coeffs {args.coeffs}: the Hermite integers "
@@ -231,11 +239,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_gb = sub.add_parser("goldbach", parents=[common],
                           help="perfect-power partial sum report")
-    p_gb.add_argument("--limit", type=int, required=True)
+    p_gb.add_argument("--limit", type=_integer, required=True)
 
     p_sieve = sub.add_parser("sieve", parents=[common],
                              help="stepwise Euler sieve")
-    p_sieve.add_argument("--steps", type=int, required=True)
+    p_sieve.add_argument("--steps", type=_integer, required=True)
 
     p_ext = sub.add_parser("extsum", parents=[common],
                            help="flat sum of a series expression")
@@ -247,25 +255,27 @@ def _build_parser() -> argparse.ArgumentParser:
     herm_sub = p_herm.add_subparsers(dest="hermite_command", required=True)
     p_m = herm_sub.add_parser("m", parents=[common],
                               help="one Hermite integer M_k(n, p)")
-    p_m.add_argument("--n", type=int, required=True)
-    p_m.add_argument("--p", type=int, required=True)
-    p_m.add_argument("--k", type=int, default=0)
+    p_m.add_argument("--n", type=_integer, required=True)
+    p_m.add_argument("--p", type=_integer, required=True)
+    p_m.add_argument("--k", type=_integer, default=0)
     p_cert = herm_sub.add_parser("cert", parents=[common],
                                  help="nonvanishing certificate")
     p_cert.add_argument("--coeffs", required=True,
                         help="comma-separated rationals, e.g. 3,-1 or -87,32")
-    p_cert.add_argument("--p-cap", type=int, default=10_000,
+    p_cert.add_argument("--p-cap", type=_integer, default=10_000,
                         help="abort the prime search above this bound")
 
     p_dir = sub.add_parser("dirichlet", parents=[common],
                            help="continued-fraction convergents")
     p_dir.add_argument("--alpha", required=True, help="pi | e | p/q")
-    p_dir.add_argument("--count", type=int, required=True)
+    p_dir.add_argument("--count", type=_integer, required=True)
 
     p_liou = sub.add_parser("liouville", parents=[common],
                             help="Liouville-constant approximation")
+    # --m stays int(): the document echoes it as a JSON number, which
+    # json.dumps cannot print past 4300 digits
     p_liou.add_argument("--m", type=int, required=True)
-    p_liou.add_argument("--n", type=int, required=True)
+    p_liou.add_argument("--n", type=_integer, required=True)
 
     p_wat = sub.add_parser("wat", parents=[common],
                            help="canonical-form expression calculator")

@@ -5,6 +5,8 @@ can distinguish genuine mathematical errors (division by zero) from verdicts
 the inspection budget could not settle.
 """
 
+from .intervals import _to_decimal
+
 
 class HyperlineError(Exception):
     """Base class for all library errors."""
@@ -71,7 +73,8 @@ class ZeroLeadingCoefficient(HyperlineError, ValueError):
 
 class SearchExhausted(HyperlineError):
     def __init__(self, p_max):
-        super().__init__(f"no qualifying prime below {p_max}")
+        shown = _to_decimal(p_max) if isinstance(p_max, int) else p_max
+        super().__init__(f"no qualifying prime below {shown}")
         self.p_max = p_max
 
 

@@ -110,6 +110,12 @@ def _next_prime(p: int) -> int:
     return candidate
 
 
+# (n, p, tuple of [M_0, ..., M_n]) of the last expansion hermite_Ms finished,
+# or None before the first.  Replaced by one assignment and read once per
+# call, so a concurrent call sees one whole entry, old or new.
+_LAST_MS: Optional[Tuple[int, int, Tuple[int, ...]]] = None
+
+
 def hermite_Ms(n: int, p: int) -> List[int]:
     """[M_0, ..., M_n] from one expansion f(x) = sum_e c_e x^e.
 
@@ -131,7 +137,21 @@ def hermite_Ms(n: int, p: int) -> List[int]:
     = (-1)^n n! (mod p) by Fermat, nonzero mod p exactly when p > n.  The
     certificate checks still test both, as an untrusted certificate needs
     them.
+
+    One expansion is kept, the last: a call with the integers (n, p) of the
+    call before returns a fresh list of its values, so a certificate's round
+    trip (nonvanish_certificate, then verify_certificate at the same prime)
+    expands once.  Any other call expands, runs every check (the inputs, each
+    Miller step, the (p-1)! division) and only then replaces the entry; the
+    empty entry, None, matches no input.  Verification may read the entry as
+    it reads the e brackets of _E_SCALES: it holds only values computed here
+    from (n, p), never a certificate's stated M, and it is a tuple, which no
+    caller can alter through a returned list.
     """
+    global _LAST_MS
+    last = _LAST_MS
+    if last is not None and last[:2] == (n, p) and type(n) is type(p) is int:
+        return list(last[2])
     f = poly_expand_f(n, p)
     big_f, total = [], 0  # F_N, ..., F_0: the highest coefficient first
     for coefficient, e1 in zip(reversed(f), range(len(f), 0, -1)):
@@ -149,6 +169,7 @@ def hermite_Ms(n: int, p: int) -> List[int]:
         if remainder:
             raise IdentityViolated(f"(p-1)! does not divide M_{k}({n}, {p})")
         result.append(quotient)
+    _LAST_MS = (n, p, tuple(result))
     return result
 
 
@@ -423,20 +444,39 @@ def certificate_from_dict(doc: dict) -> HermiteCertificate:
     The common denominator is recomputed from the coefficients.  Numbers are
     decimal strings (``n`` or ``n/d`` with ``d != 0`` for rationals) of at
     most ``_MAX_DECIMAL_CHARS`` characters each, and the prime is a JSON
-    integer; anything else raises ValueError.
+    integer; anything else, a missing field or a document that is not an
+    object included, raises ValueError.
     """
-    coeffs = [_rational(num, den) for num, den in doc["coeffs"]]
+    if not isinstance(doc, dict):
+        raise ValueError(f"a certificate must be a JSON object, got {type(doc).__name__}")
+    missing = [key for key in _CERT_FIELDS if key not in doc]
+    if missing:
+        raise ValueError(f"certificate has no {', '.join(missing)}")
+    coeffs = [_rational(*_json_array(pair, "each coefficient", 2))
+              for pair in _json_array(doc["coeffs"], "coeffs")]
     denom = lcm(*(c.denominator for c in coeffs))
     return HermiteCertificate(
         coefficients=coeffs,
         common_denominator=denom,
         prime=_prime_from_json(doc["prime"]),
-        M=[_from_decimal(m) for m in doc["M"]],
+        M=[_from_decimal(m) for m in _json_array(doc["M"], "M")],
         integer_combination=_from_decimal(doc["I"]),
         eps_total_bound=_fraction_from_text(doc["eps_bound"]),
         lower_bound=_fraction_from_text(doc["lower_bound"]),
         checks=_checks_from_json(doc["checks"]),
     )
+
+
+_CERT_FIELDS = ("coeffs", "prime", "M", "I", "eps_bound", "lower_bound", "checks")
+
+
+def _json_array(value, name: str, length: Optional[int] = None) -> list:
+    """``value`` if it is a JSON array (of ``length`` items, when given)."""
+    if not isinstance(value, list) or length is not None and len(value) != length:
+        shape = "a JSON array" if length is None else f"a JSON array of {length}"
+        got = f"{len(value)} items" if isinstance(value, list) else type(value).__name__
+        raise ValueError(f"{name} must be {shape}, got {got}")
+    return value
 
 
 def _checks_from_json(value) -> Dict[str, bool]:
@@ -627,7 +667,8 @@ def _capped_factorial(n: int, max_digits: int) -> int:
     for j in range(2, n + 1):
         fact *= j
         if fact >= max_digits:
-            raise ValueError(f"10^({n}!) would have more than {max_digits} digits")
+            raise ValueError(f"10^({_to_decimal(n)}!) would have more than "
+                             f"{max_digits} digits")
     return fact
 
 

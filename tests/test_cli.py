@@ -464,6 +464,47 @@ class TestDeterminismAndExitCodes:
         assert code == 2
         assert err.endswith(f"error: {argv[0]} --depth {depth}: {message}\n")
 
+    @pytest.mark.parametrize("argv,want,message", [
+        (["goldbach", "--limit", "{V}"], 2,
+         "hyperline: error: goldbach --limit {V}: limits above 10^10 are refused"),
+        (["sieve", "--steps", "{V}"], 2,
+         "hyperline: error: sieve --steps {V}: steps above 10^4 are refused"),
+        (["hermite", "m", "--n", "{V}", "--p", "3"], 2,
+         "hyperline: error: hermite m --n {V} --p 3: n times the degree (n+1)p - 1 "
+         "above 2^17 is refused"),
+        (["hermite", "m", "--n", "1", "--p", "-{V}"], 2, "error: p must be a prime >= 2"),
+        (["hermite", "m", "--n", "1", "--p", "3", "--k", "{V}"], 2,
+         "error: need 0 <= k <= n"),
+        (["hermite", "cert", "--coeffs", "3,-1", "--p-cap", "-{V}"], 4,
+         "error: no qualifying prime below -{V}"),
+        (["hermite", "cert", "--coeffs", "3,-1", "--p-cap", "{V}"], 0, ""),
+        (["dirichlet", "--alpha", "7/3", "--count", "{V}"], 0, ""),
+        (["liouville", "--m", "2", "--n", "-{V}"], 2, "error: m and n must be >= 1"),
+        (["liouville", "--m", "2", "--n", "{V}"], 2,
+         "error: 10^({W}!) would have more than 1048576 digits"),
+        # echoed as a JSON number, which json.dumps cannot print past 4300 digits
+        (["liouville", "--m", "{V}", "--n", "2"], 2,
+         "hyperline liouville: error: argument --m: invalid int value: '{V}'"),
+    ], ids=lambda v: " ".join(v)[:32] if isinstance(v, list) else None)
+    def test_integer_options_past_4300_digits_meet_the_caps(self, capsys, argv, want,
+                                                            message):
+        # each was refused by int() as "invalid int value", though an integer
+        value = "7" * 5000
+        fill = {"V": value, "W": value[:-1] + "8"}
+        start = time.perf_counter()
+        code = run([a.format(**fill) for a in argv])
+        assert time.perf_counter() - start < 5
+        captured = capsys.readouterr()
+        assert code == want, captured.err[-200:]
+        assert "set_int_max_str_digits" not in captured.err
+        if want:
+            assert captured.out == ""
+            assert captured.err.endswith(message.format(**fill) + "\n")
+        else:
+            # the same document as a small value gives
+            small = [a.replace("{V}", "10000") for a in argv]
+            assert captured.err == "" and captured.out == capture(capsys, small)[1]
+
     @pytest.mark.parametrize("series", [
         "geom(1e-20000)", "geom(1e-100000)", "geom(1e-1_000_000_000)", "geom(9999e4300)",
         "alt(geom(-1/1" + "0" * 4300 + "))", "geom(1/" + "7" * 4301 + ")"],

@@ -1,8 +1,14 @@
 import hashlib
 import json
+import os
+import re
+import subprocess
+import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from math import ceil, factorial, gcd
+from pathlib import Path
 
 import pytest
 import sympy
@@ -158,17 +164,134 @@ class TestHermiteIntegers:
     def test_min_bits_gives_nothing_outside_its_range(self, n, p):
         assert hermite.hermite_M_min_bits(n, p) == 0
 
-    def test_inexact_division_raises(self, monkeypatch):
+    def test_inexact_division_raises(self, monkeypatch, empty_ms_slot):
         # the (p-1)! division is an explicit check, kept under python -O
         monkeypatch.setattr(hermite, "factorial", lambda m: 7 ** 40)
         with pytest.raises(IdentityViolated, match=r"^\(p-1\)! does not divide M_0\(1, 3\)$"):
             hermite_Ms(1, 3)
 
-    def test_inexact_miller_step_raises(self, monkeypatch):
+    def test_inexact_miller_step_raises(self, monkeypatch, empty_ms_slot):
         # every division the expansion makes leaves a remainder
         monkeypatch.setattr(hermite, "divmod", lambda a, b: (a // b, 1), raising=False)
         with pytest.raises(IdentityViolated, match="^Miller step 1 of A\\^5 is not exact$"):
             hermite_Ms(2, 5)
+
+
+@pytest.fixture
+def empty_ms_slot(monkeypatch):
+    """hermite_Ms with no kept expansion, so every call expands."""
+    monkeypatch.setattr(hermite, "_LAST_MS", None)
+
+
+def _forged(cert, M):
+    """``cert`` restated with Hermite integers ``M``, every other field made
+    to agree with them, as a forger would."""
+    n = len(M) - 1
+    scaled = [int(c * cert.common_denominator) for c in cert.coefficients]
+    checks, bound = hermite._checks(n, cert.prime, scaled, M)
+    return replace(cert, M=M, integer_combination=sum(s * m for s, m in zip(scaled, M)),
+                   eps_total_bound=bound, checks=checks,
+                   lower_bound=F(1, 2 * cert.common_denominator * abs(M[0])))
+
+
+class TestHermiteMemo:
+    """hermite_Ms keeps its last expansion, (n, p, tuple of M)."""
+
+    # M_0 + 160 and M_1 + 435 at p = 5: 435/160 = 87/32, a convergent of e,
+    # so eps_1 moves by 5 (32e - 87), about -0.073, and both congruences hold
+    SHIFT = (160, 435)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.integers(1, 4), st.sampled_from([2, 3, 5, 7, 11, 13])),
+                    min_size=1, max_size=10))
+    def test_a_hit_equals_a_miss(self, calls):
+        # drawn sequences, plus the same p at each n and repeats
+        for n, p in calls + [(1, 5), (2, 5), (2, 5), (3, 5), (1, 5), (1, 5)]:
+            assert hermite_Ms(n, p) == parent_hermite_Ms(n, p), (n, p)
+
+    def test_the_forgery_is_caught_only_by_the_stated_M(self):
+        cert = nonvanish_certificate([F(3), F(-1)])
+        forged = _forged(cert, [m + d for m, d in zip(cert.M, self.SHIFT)])
+        assert cert.prime == 5 and all(forged.checks.values())
+        assert combination_interval(forged.coefficients, F(1, 10 ** 60)).abs_lo() \
+            >= forged.lower_bound
+        assert not verify_certificate(forged)
+
+    def test_mutating_cert_M_cannot_forge(self):
+        cert = nonvanish_certificate([F(3), F(-1)])
+        for k, d in enumerate(self.SHIFT):
+            cert.M[k] += d  # the list the search returned, altered in place
+        assert not verify_certificate(_forged(cert, list(cert.M)))
+        assert verify_certificate(nonvanish_certificate([F(3), F(-1)]))
+
+    def test_mutating_a_returned_list_cannot_forge(self):
+        cert = nonvanish_certificate([F(3), F(-1)])
+        values = hermite_Ms(1, 5)
+        for k, d in enumerate(self.SHIFT):
+            values[k] += d
+        assert hermite_Ms(1, 5) == cert.M != values
+        assert not verify_certificate(_forged(cert, values))
+
+    @pytest.mark.parametrize("texts", [["3,-1"], ["-87,32"], ["1,-1,1"], ["1/2,1/3,-1/7"],
+                                       ["3,-1", "-87,32"], ["1,-1,1", "3,-1", "1,-1,1"]])
+    def test_one_expansion_per_round_trip(self, monkeypatch, empty_ms_slot, texts):
+        calls = []
+        expand = hermite.poly_expand_f
+        monkeypatch.setattr(hermite, "poly_expand_f",
+                            lambda n, p: calls.append((n, p)) or expand(n, p))
+        certs = []
+        for text in texts:
+            coefficients = [F(c) for c in text.split(",")]
+            cert = nonvanish_certificate(coefficients)
+            searched = calls[:]
+            assert searched[-1] == (len(coefficients) - 1, cert.prime)
+            doc = json.loads(json.dumps(cert.to_dict()))
+            assert verify_certificate(certificate_from_dict(doc))
+            assert calls == searched  # verification read the kept expansion
+            certs.append(cert)
+            del calls[:]
+        # round trips interleaved: a verification expands unless the call
+        # before it read the same (n, p)
+        keys = [(len(c.M) - 1, c.prime) for c in certs]
+        for cert in certs:
+            assert verify_certificate(certificate_from_dict(cert.to_dict()))
+        assert calls == [key for before, key in zip(keys[-1:] + keys, keys) if key != before]
+
+    @pytest.mark.parametrize("before", [None, (1, 5), (1, 3), (2, 3), (1, 2), (6, 31)])
+    def test_invalid_inputs_raise_after_any_call(self, empty_ms_slot, before):
+        if before is not None:
+            hermite_Ms(*before)
+        for n, p in [(0, 0), (1, 4), (0, 5), (1, 1), (-1, 5)]:
+            with pytest.raises(ValueError):
+                hermite_Ms(n, p)
+        for n, p in [(1.0, 5), (F(1), 5), (1, 5.0)]:
+            with pytest.raises(TypeError):
+                hermite_Ms(n, p)
+
+    def test_invalid_inputs_raise_in_a_fresh_interpreter(self):
+        # the empty entry matches no input, (0, 0) and hermite m --n 0 --p 0
+        # included; a tuple (0, 0, ()) in its place made both return []
+        code = ("import pytest\n"
+                "from hyperline import cli, hermite\n"
+                "assert hermite._LAST_MS is None\n"
+                "for n, p in [(0, 0), (1, 4)]:\n"
+                "    with pytest.raises(ValueError):\n"
+                "        hermite.hermite_Ms(n, p)\n"
+                "assert cli.run(['hermite', 'm', '--n', '0', '--p', '0']) == 2\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "error: n must be >= 1\n"
+
+    def test_a_failed_expansion_keeps_the_entry(self, monkeypatch):
+        kept = hermite_Ms(1, 5)
+        monkeypatch.setattr(hermite, "factorial", lambda m: 7 ** 40)
+        with pytest.raises(IdentityViolated):
+            hermite_Ms(1, 3)
+        assert hermite._LAST_MS == (1, 5, tuple(kept))
 
 
 def parent_hermite_Ms(n, p):
@@ -480,6 +603,33 @@ class TestCertificates:
         start = time.perf_counter()
         assert not verify_certificate(cert)
         assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("change,message", [
+        ({"coeffs": 5}, "coeffs must be a JSON array, got int"),
+        ({"coeffs": {"12": "0"}}, "coeffs must be a JSON array, got dict"),
+        ({"coeffs": [5, 5]}, "each coefficient must be a JSON array of 2, got int"),
+        ({"coeffs": [["3", "1", "1"], ["-1", "1"]]},
+         "each coefficient must be a JSON array of 2, got 3 items"),
+        ({"M": 7}, "M must be a JSON array, got int"),
+        ({"M": "77"}, "M must be a JSON array, got str"),
+        ({"prime": None}, "prime must be a JSON integer"),
+        ({"I": 7}, "expected a decimal string, got int"),
+        ("prime", "certificate has no prime"),
+        ("coeffs", "certificate has no coeffs"),
+        ([], "a certificate must be a JSON object, got list"),
+        (None, "a certificate must be a JSON object, got NoneType"),
+    ], ids=str)
+    def test_from_dict_refuses_every_malformed_shape(self, change, message):
+        # coeffs=5, M=7 and a list raised TypeError, a missing field KeyError
+        doc = nonvanish_certificate([F(3), F(-1)]).to_dict()
+        if isinstance(change, dict):
+            doc.update(change)
+        elif isinstance(change, str):
+            del doc[change]
+        else:
+            doc = [doc] if change == [] else change
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            certificate_from_dict(doc)
 
     def test_malformed_shapes_are_rejected(self):
         cert = nonvanish_certificate([F(3), F(-1)])
