@@ -73,8 +73,7 @@ class ZeroLeadingCoefficient(HyperlineError, ValueError):
 
 class SearchExhausted(HyperlineError):
     def __init__(self, p_max):
-        shown = _to_decimal(p_max) if isinstance(p_max, int) else p_max
-        super().__init__(f"no qualifying prime below {shown}")
+        super().__init__(f"no qualifying prime below {_to_decimal(p_max)}")
         self.p_max = p_max
 
 

@@ -32,7 +32,7 @@ from typing import Callable, Optional
 
 from . import seqfield as sf
 from .errors import ConvergenceUnknown, InvalidPermutation
-from .intervals import Interval, grid_bits, read_fraction, read_int
+from .intervals import Interval, exact_int, exact_rational, grid_bits, read_int
 from .seqfield import Hyperreal, Pair, Verdict, make
 from .wattenberg import DedekindNumber, EPS_IDEM, dd_add, dd_scalar_mul, embed
 
@@ -47,17 +47,14 @@ SPLIT = "split"
 
 def _exact_pairs(fn: Callable[[int], Fraction], label: str, kind: str,
                  pattern: str = SPLIT) -> Callable[[int], Pair]:
-    """``fn``'s values as reduced pairs.  An int or a ``Fraction`` is taken
-    as it is; a float is refused with ``TypeError`` naming ``kind`` and the
-    index (``seqfield.exact_rational``).  A negative value under ``NONNEG``
-    and a positive one under ``NONPOS`` are refused with ``ValueError``."""
+    """``fn``'s values as reduced pairs, read with ``exact_rational``: a
+    float or a bool is refused with ``TypeError`` naming ``kind`` and the
+    index.  A negative value under ``NONNEG`` and a positive one under
+    ``NONPOS`` are refused with ``ValueError``."""
     what = f"{label}: {kind}"
 
     def pair(n):
-        value = fn(n)
-        if type(value) is not Fraction and type(value) is not int:
-            value = sf.exact_rational(value, what, n)
-        p, q = value.as_integer_ratio()
+        p, q = exact_rational(fn(n), what, n).as_integer_ratio()
         if p < 0 and pattern == NONNEG:
             raise ValueError(f"{label}: negative {kind} at index {n}")
         if p > 0 and pattern == NONPOS:
@@ -131,7 +128,7 @@ class SeriesSpec:
 
 def geom(ratio) -> SeriesSpec:
     """Geometric series with terms ratio^(n+1)."""
-    r = Fraction(ratio)
+    r = exact_rational(ratio, "ratio")
     a, b = r.numerator, r.denominator
     pattern = NONNEG if a >= 0 else SPLIT
     bound = None
@@ -145,8 +142,7 @@ def geom(ratio) -> SeriesSpec:
 
 def pser(k: int) -> SeriesSpec:
     """p-series with terms 1/(n+1)^k; carries a tail bound for k >= 2."""
-    if k < 1:
-        raise ValueError("exponent must be >= 1")
+    exact_int(k, "exponent", 1)
     bound = None
     if k >= 2:
         # sum_{n>m} 1/(n+1)^k <= integral comparison: 1/((k-1) (m+1)^(k-1))
@@ -370,8 +366,9 @@ def flat_sum(spec: SeriesSpec, depth: int = DEFAULT_DEPTH,
 
     ``eta_terms`` must be at least 1: the tail bound is read at index
     ``eta_terms - 1``, and it is defined from index 0 on."""
-    if eta_terms < 1:
-        raise ValueError("eta_terms must be >= 1")
+    exact_int(depth, "depth")
+    exact_int(eta_terms, "eta_terms", 1)
+    probe = exact_rational(divergence_probe, "divergence_probe")
     if spec.pattern == SPLIT:
         plus, minus = split_parts(spec)
         if spec.tail_pair is None:
@@ -392,7 +389,6 @@ def flat_sum(spec: SeriesSpec, depth: int = DEFAULT_DEPTH,
     # does at depth; the brackets at n = 0, 1, 3, 7, ..., depth, each under
     # one unit wide at scale k, find an early witness with no exact sum
     # unless one straddles the probe
-    probe = Fraction(divergence_probe)
     k = depth.bit_length() + 1
     sign = 1 if spec.pattern == NONNEG else -1
     target = probe * (1 << k)
@@ -429,17 +425,16 @@ def upper_lower_limit(a, tail_bound=None, depth: int = DEFAULT_DEPTH):
     this is the documented divergence from the +/- eps_d form that genuine
     (non-realized) convergence produces.
     """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+    exact_int(depth, "depth", 1)
     a = make(a)
-    if sf._compare(a, a.at(depth), depth, depth // 2).verdict is Verdict.EQUAL:
+    if sf._compare(a, a.at(depth), depth).verdict is Verdict.EQUAL:
         exact = embed(a)
         return exact, exact
     if tail_bound is None:
         raise ConvergenceUnknown("no certificate and not eventually constant")
     for k in (0, depth // 2):
         # |a(depth) - a(k)| <= c(k) + c(depth) <= 2 c(k) for a real certificate
-        if abs(a.at(depth) - a.at(k)) > 2 * sf.exact_rational(tail_bound(k), "tail bound", k):
+        if abs(a.at(depth) - a.at(k)) > 2 * exact_rational(tail_bound(k), "tail bound", k):
             raise ValueError(
                 f"certificate inconsistent with the inspected prefix at {k}")
     upper = DedekindNumber(a, 1, EPS_IDEM)
@@ -506,7 +501,7 @@ def scalar_mul_flat(c, spec: SeriesSpec, depth: int = DEFAULT_DEPTH,
     the eta interval follows; for nonconstant c no real limit exists.
     """
     c = make(c)
-    if sf._compare(c, 0, depth, depth // 2).verdict is not Verdict.GREATER:
+    if sf._compare(c, 0, depth).verdict is not Verdict.GREATER:
         raise ConvergenceUnknown("scalar must verify positive")
     base = flat_sum(spec, depth, eta_terms)
     value = dd_scalar_mul(c, base.value, depth)
@@ -531,7 +526,7 @@ def parse_series(text: str) -> SeriesSpec:
     if name == "geom":
         if arg is None:
             raise ValueError("geom needs a ratio argument")
-        return geom(read_fraction(arg))
+        return geom(arg)
     if name == "pser":
         if arg is None:
             raise ValueError("pser needs an exponent argument")

@@ -17,14 +17,13 @@ from typing import List
 
 from . import extsum
 from .errors import DepthTooSmall
-from .intervals import Interval, _fraction_to_text
+from .intervals import Interval, _fraction_to_text, exact_int
 
 
 def perfect_powers(limit: int) -> List[int]:
     """Sorted, deduplicated m^n <= limit with m, n >= 2: the squares plus
     ``_odd_powers``."""
-    if limit < 0:
-        raise ValueError("limit must be >= 0")
+    exact_int(limit, "limit", 0)
     return sorted([m * m for m in range(2, isqrt(limit) + 1)] + _odd_powers(limit))
 
 
@@ -92,8 +91,7 @@ def partial_sum(limit: int) -> Fraction:
     3/4 - (2s+1)/(2s(s+1)).  Only the other powers, ``_odd_powers``, are
     summed one by one.
     """
-    if limit < 4:
-        raise ValueError("limit must be >= 4 (the first perfect power)")
+    exact_int(limit, "limit", 4)  # the first perfect power
     s = isqrt(limit)
     squares = Fraction(3, 4) - Fraction(2 * s + 1, 2 * s * (s + 1))
     return squares + _sum_reciprocals(k - 1 for k in _odd_powers(limit))
@@ -125,8 +123,7 @@ def tail_bound(limit: int) -> Fraction:
     That is below 0.995 L^(-1/2) once L^(1/6) > 3.28, from L = 1250 on.
     (The true tail was 0.51 to 0.56 of the bound from L = 10^4 to 10^10.)
     """
-    if limit < 4:
-        raise ValueError("limit must be >= 4")
+    exact_int(limit, "limit", 4)
     s = isqrt(limit)
     return Fraction(1, s) + Fraction(1, s + 1)
 
@@ -212,8 +209,7 @@ def euler_sieve(depth: int, steps: int) -> SieveReport:
     1 - sum 1/((m-1) m^E), and the slack is the sum of the tails
     1/((m-1) m^(E-1)), each m times the truncated tail 1/((m-1) m^E).
     """
-    if steps < 1 or depth < steps:
-        raise ValueError("need depth >= steps >= 1")
+    exact_int(depth, "depth", exact_int(steps, "steps", 1))
     sieve_steps: List[SieveStep] = []
     m = 1
     for _ in range(steps):
@@ -240,8 +236,7 @@ def euler_sieve(depth: int, steps: int) -> SieveReport:
 def flat_identity(limit: int, depth: int = 4096) -> extsum.ExtSumResult:
     """Flat sum of the perfect-power reciprocal series: eta^# - eps_d with
     the eta interval pinned by the partial sum up to `limit`."""
-    if limit < 4:
-        raise ValueError("limit must be >= 4")
+    exact_int(limit, "limit", 4)
     series = powers_reciprocal_series()
     eta_terms = max(1, len(perfect_powers(limit)))
     return extsum.flat_sum(series, depth=depth, eta_terms=eta_terms)

@@ -30,7 +30,8 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 from .errors import (IdentityViolated, PrecisionExhausted, RadiusViolation,
                      SearchExhausted, ZeroLeadingCoefficient, ZeroRoot)
 from .intervals import (_MAX_DECIMAL_CHARS, Interval, _fraction_from_text,
-                        _fraction_to_text, _from_decimal, _rational, _to_decimal, grid_bits)
+                        _fraction_to_text, _from_decimal, _rational, _to_decimal,
+                        exact_int, exact_rational, grid_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -45,9 +46,8 @@ def poly_expand_f(n: int, p: int) -> List[int]:
     (Knuth, TAOCP vol. 2, 4.7), each division checked exact:
     k a_0 P_k = sum_{i=1..min(n,k)} ((p+1) i - k) a_i P_{k-i}.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if p < 2 or not _is_prime(p):
+    exact_int(n, "n", 1)
+    if not _is_prime(exact_int(p, "p")):
         raise ValueError("p must be a prime >= 2")
     a = [1]
     for j in range(1, n + 1):
@@ -71,11 +71,11 @@ def elem_sym(values: List[Fraction], m: int) -> Fraction:
     With P(z) = prod (1 - z/z_i) = 1 + a_1 z + ... the coefficients obey
     a_m = (-1)^m e_m.
     """
-    if not 1 <= m <= len(values):
+    if not 1 <= exact_int(m, "m") <= len(values):
         raise ValueError("need 1 <= m <= len(values)")
     recips = []
-    for z in values:
-        z = Fraction(z)
+    for i, z in enumerate(values):
+        z = exact_rational(z, "root", i)
         if z == 0:
             raise ZeroRoot("reciprocal of a zero root")
         recips.append(1 / z)
@@ -149,8 +149,9 @@ def hermite_Ms(n: int, p: int) -> List[int]:
     caller can alter through a returned list.
     """
     global _LAST_MS
+    n, p = exact_int(n, "n", 1), exact_int(p, "p")
     last = _LAST_MS
-    if last is not None and last[:2] == (n, p) and type(n) is type(p) is int:
+    if last is not None and last[:2] == (n, p):
         return list(last[2])
     f = poly_expand_f(n, p)
     big_f, total = [], 0  # F_N, ..., F_0: the highest coefficient first
@@ -199,7 +200,7 @@ def hermite_M_min_bits(n: int, p: int) -> int:
 
 def hermite_M(n: int, p: int, k: int = 0) -> int:
     """The exact integer value of the weighted integral at shift k."""
-    if not 0 <= k <= n:
+    if not 0 <= exact_int(k, "k") <= exact_int(n, "n"):
         raise ValueError("need 0 <= k <= n")
     return hermite_Ms(n, p)[k]
 
@@ -270,9 +271,7 @@ def _exp_intervals(n: int, K: int) -> List[Interval]:
 
 def e_interval(tolerance) -> Interval:
     """Rational interval around e of width tolerance, from _exp_brackets."""
-    tolerance = Fraction(tolerance)
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    tolerance = exact_rational(tolerance, "tolerance", positive=True)
     raw = _exp_intervals(1, _exp_bits(tolerance))[1]
     # pad out to the full width: callers expect nearby decimal truncations
     # (slightly below e) to land inside too
@@ -292,11 +291,12 @@ def _e_upper() -> Fraction:
 
 
 def hermite_eps(n: int, p: int, k: int, tolerance=Fraction(1, 10 ** 12)) -> EpsEstimate:
-    if not 1 <= k <= n:
+    tolerance = exact_rational(tolerance, "tolerance", positive=True)
+    if not 1 <= exact_int(k, "k") <= exact_int(n, "n"):
         raise ValueError("need 1 <= k <= n")
     m_values = hermite_Ms(n, p)
     m0, mk = m_values[0], m_values[k]
-    K = _exp_bits(Fraction(tolerance) / max(1, abs(m0)))
+    K = _exp_bits(tolerance / max(1, abs(m0)))
     interval = _exp_intervals(k, K)[k] * m0 - mk
     a_n = Fraction(n) ** (n + 1)
     g_k = _e_upper() ** k * a_n
@@ -338,12 +338,21 @@ def _prime_from_json(value) -> int:
     return value
 
 
+def _scaled(coefficients) -> Tuple[List[Fraction], int, List[int]]:
+    """``[b_0, ..., b_n]`` read with ``exact_rational`` (at least ``b_0``),
+    their common denominator D and the integers ``[b_0 D, ..., b_n D]``."""
+    b = [exact_rational(c, "coefficient", k) for k, c in enumerate(coefficients)]
+    if not b:
+        raise ValueError("need at least coefficient b_0")
+    denom = lcm(*(c.denominator for c in b))
+    return b, denom, [c.numerator * (denom // c.denominator) for c in b]
+
+
 def search_start(coefficients, p_cap: int = 10_000) -> int:
     """``nonvanish_certificate`` tries the primes above this and up to
     ``p_cap``: ``min(max(n, |scaled b_0|, common denominator), p_cap)``."""
-    b = [Fraction(c) for c in coefficients]
-    denom = lcm(*(c.denominator for c in b))
-    return min(max(len(b) - 1, abs(int(b[0] * denom)), denom), p_cap)
+    b, denom, scaled = _scaled(coefficients)
+    return min(max(len(b) - 1, abs(scaled[0]), denom), exact_int(p_cap, "p_cap"))
 
 
 def nonvanish_certificate(coefficients, p_cap: int = 10_000) -> HermiteCertificate:
@@ -355,14 +364,12 @@ def nonvanish_certificate(coefficients, p_cap: int = 10_000) -> HermiteCertifica
     least 1, giving |sum b_k e^k| >= 1/(2 * denom * |M_0|).  A start at
     ``p_cap`` leaves no prime to try, and none is looked for.
     """
-    b = [Fraction(c) for c in coefficients]
+    b, denom, scaled = _scaled(coefficients)
     if len(b) < 2:
         raise ValueError("need at least coefficients b_0, b_1")
     if b[0] == 0:
         raise ZeroLeadingCoefficient("b_0 must be nonzero")
     n = len(b) - 1
-    denom = lcm(*(c.denominator for c in b))
-    scaled = [int(c * denom) for c in b]
     start = search_start(b, p_cap)
     if start >= p_cap:
         raise SearchExhausted(p_cap)
@@ -503,6 +510,7 @@ def verify_certificate(cert: HermiteCertificate, digits: int = 60) -> bool:
     ``p``.  The bound grows with ``p``, so the size of ``M_0`` caps the
     prime and the trial division.
     """
+    exact_int(digits, "digits", 0)
     n = len(cert.coefficients) - 1
     p = cert.prime
     if n < 1 or len(cert.M) != n + 1:
@@ -537,13 +545,11 @@ def combination_interval(coefficients, tolerance) -> Interval:
     Summed in integers over D 2^K, D the common denominator: with s_k =
     b_k D and lo_k <= e^k 2^K <= hi_k from _exp_brackets, the term s_k e^k 2^K
     lies in [s_k lo_k, s_k hi_k], the ends swapped when s_k < 0."""
-    b = [Fraction(c) for c in coefficients]
-    n = len(b) - 1
-    K = _exp_bits(Fraction(tolerance) / max(1, sum(map(abs, b[1:]))))
-    denom = lcm(*(c.denominator for c in b))
-    scaled = [c.numerator * (denom // c.denominator) for c in b]
+    b, denom, scaled = _scaled(coefficients)
+    tolerance = exact_rational(tolerance, "tolerance", positive=True)
+    K = _exp_bits(tolerance / max(1, sum(map(abs, b[1:]))))
     lo = hi = scaled[0] << K
-    for s, (e_lo, e_hi) in zip(scaled[1:], _exp_brackets(n, K)[1:]):
+    for s, (e_lo, e_hi) in zip(scaled[1:], _exp_brackets(len(b) - 1, K)[1:]):
         if s < 0:
             e_lo, e_hi = e_hi, e_lo
         lo, hi = lo + s * e_lo, hi + s * e_hi
@@ -576,10 +582,7 @@ def pi_oracle(tolerance) -> Interval:
     g = k0.bit_length() + 8 guard bits: 2^g >= 256 (k0 + 1) > 7.5 k + 80,
     so the width is below 2^-k0.
     """
-    tolerance = Fraction(tolerance)
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
-    k = grid_bits(tolerance)
+    k = grid_bits(exact_rational(tolerance, "tolerance", positive=True))
     k += k.bit_length() + 8
     center, slack = 0, 0
     for weight, x in ((16, 5), (-4, 239)):
@@ -601,15 +604,14 @@ def cf_convergents(alpha: Union[Fraction, OracleFn], count: int) -> List[Converg
     """First `count` continued-fraction convergents, each verified to satisfy
     |alpha - p/q| < 1/q^2 by interval arithmetic.
 
-    `alpha` is either an exact Fraction, whose point bracket gives its
+    `alpha` is either an oracle mapping a tolerance to a certified interval,
+    or an exact rational (``exact_rational``), whose point bracket gives its
     terminating expansion (fewer than `count` convergents when it ends, and
-    error intervals that are points), or an oracle mapping a tolerance to a
-    certified interval.
+    error intervals that are points).
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if isinstance(alpha, (int, Fraction)):
-        bracket = Interval.point(alpha)
+    exact_int(count, "count", 1)
+    if not callable(alpha):
+        bracket = Interval.point(exact_rational(alpha, "alpha"))
         return _build_convergents(bracket, _extract_terms(bracket, count))
     tolerance = Fraction(1, 10 ** 40)
     for _ in range(8):
@@ -674,8 +676,7 @@ def _capped_factorial(n: int, max_digits: int) -> int:
 
 def liouville_partial(n: int) -> Tuple[int, int]:
     """Numerator and denominator of the n-term partial sum of sum 10^(-j!)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    exact_int(n, "n", 1)
     exponent = _capped_factorial(n, _MAX_DECIMAL_CHARS)
     p = sum(10 ** (exponent - factorial(j)) for j in range(1, n + 1))
     return p, 10 ** exponent
@@ -691,8 +692,7 @@ def liouville_approx(m: int, n: int) -> Tuple[Convergent, bool]:
     (10^k is at most 1 for k <= 0 and at least 10 for k >= 1), iff
     m n! < (n+1)! = (n+1) n!, iff m <= n.  The lower end is positive.
     """
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be >= 1")
+    m, n = exact_int(m, "m", 1), exact_int(n, "n", 1)
     tail_lo = Fraction(1, 10 ** _capped_factorial(n + 1, _MAX_DECIMAL_CHARS))
     p, q = liouville_partial(n)
     return Convergent(p, q, Interval(tail_lo, 2 * tail_lo)), m <= n
@@ -709,18 +709,15 @@ def eval_q_analytic(coeffs: Callable[[int], Fraction], x: Interval, terms: int,
     n > terms; the tail is then at most q^(terms+1)/(1-q) with q = |x|/R,
     which requires |x| strictly inside R.
     """
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
-    radius = Fraction(coeff_bound)
-    if radius <= 0:
-        raise ValueError("coeff_bound must be positive")
+    exact_int(terms, "terms", 1)
+    radius = exact_rational(coeff_bound, "coeff_bound", positive=True)
     q = x.abs_hi() / radius
     if q >= 1:
         raise RadiusViolation(f"|x| up to {x.abs_hi()} not inside radius {radius}")
     total = Interval.point(0)
     power = Interval.point(1)
     for n in range(terms + 1):
-        a_n = Fraction(coeffs(n))
+        a_n = exact_rational(coeffs(n), "coefficient", n)
         if a_n != 0:
             total = total + power * a_n
         power = power * x

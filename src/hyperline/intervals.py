@@ -1,5 +1,7 @@
-"""Closed rational intervals with outward-exact arithmetic, and the one
-decimal codec every printed or parsed number goes through.
+"""Closed rational intervals with outward-exact arithmetic, the one decimal
+codec every printed or parsed number goes through, and the input gate: the
+readers ``exact_rational`` and ``exact_int``, through which every public
+function reads its numbers before any work.
 
 Endpoints are `fractions.Fraction`, so every operation here is exact; no
 rounding direction bookkeeping is needed.
@@ -13,8 +15,38 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def exact_rational(value, what: str, index: int | None = None,
+                   positive: bool = False) -> Fraction:
+    """``value``, an ``int``, a ``Fraction`` or a ``str`` (``read_fraction``),
+    as a ``Fraction``.  Another type is a ``TypeError`` naming ``what`` and
+    the index, if any: a float's binary value is not the decimal it prints
+    as, and a bool is no number.  With ``positive``, ``<= 0`` is refused."""
+    if type(value) is not Fraction:
+        if isinstance(value, str):
+            try:
+                value = read_fraction(value)
+            except ZeroDivisionError as exc:  # p/0: Fraction's words, which the CLI prints
+                raise ValueError(str(exc)) from None
+        elif isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+            value = Fraction(value)
+        else:
+            where = "" if index is None else f" at index {index}"
+            raise TypeError(f"{what} {value!r:.40}{where} is a {type(value).__name__}: "
+                            "pass an int, a Fraction or a string")
+    if positive and value <= 0:
+        raise ValueError(f"{what} must be positive")
+    return value
+
+
+def exact_int(value, what: str, minimum: int | None = None) -> int:
+    """``value``, an ``int`` that is not a ``bool``, at least ``minimum`` if
+    given: another type is a ``TypeError`` naming ``what``, a smaller ``int``
+    a ``ValueError``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{what} must be an int, got {type(value).__name__}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{what} must be >= {_to_decimal(minimum)}")
+    return value
 
 
 def grid_bits(x: Fraction) -> int:
@@ -28,14 +60,13 @@ class Interval:
     hi: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", _frac(self.lo))
-        object.__setattr__(self, "hi", _frac(self.hi))
+        object.__setattr__(self, "lo", exact_rational(self.lo, "lo"))
+        object.__setattr__(self, "hi", exact_rational(self.hi, "hi"))
         if self.lo > self.hi:
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
 
     @classmethod
     def point(cls, q) -> "Interval":
-        q = _frac(q)
         return cls(q, q)
 
     @property
@@ -47,13 +78,12 @@ class Interval:
         return (self.lo + self.hi) / 2
 
     def contains(self, q) -> bool:
-        q = _frac(q)
-        return self.lo <= q <= self.hi
+        return self.lo <= exact_rational(q, "point") <= self.hi
 
     def __add__(self, other):
         if isinstance(other, Interval):
             return Interval(self.lo + other.lo, self.hi + other.hi)
-        q = _frac(other)
+        q = exact_rational(other, "operand")
         return Interval(self.lo + q, self.hi + q)
 
     __radd__ = __add__
@@ -64,17 +94,17 @@ class Interval:
     def __sub__(self, other):
         if isinstance(other, Interval):
             return Interval(self.lo - other.hi, self.hi - other.lo)
-        return self + (-_frac(other))
+        return self + (-exact_rational(other, "operand"))
 
     def __rsub__(self, other):
-        return (-self) + _frac(other)
+        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, Interval):
             products = (self.lo * other.lo, self.lo * other.hi,
                         self.hi * other.lo, self.hi * other.hi)
             return Interval(min(products), max(products))
-        q = _frac(other)
+        q = exact_rational(other, "operand")
         if q >= 0:
             return Interval(self.lo * q, self.hi * q)
         return Interval(self.hi * q, self.lo * q)
@@ -82,7 +112,7 @@ class Interval:
     __rmul__ = __mul__
 
     def pow_int(self, k: int) -> "Interval":
-        if k < 0:
+        if exact_int(k, "k") < 0:
             raise ValueError("negative powers not supported")
         result = Interval.point(1)
         base = self
@@ -104,7 +134,7 @@ class Interval:
         return min(abs(self.lo), abs(self.hi))
 
     def widen(self, margin) -> "Interval":
-        margin = _frac(margin)
+        margin = exact_rational(margin, "margin")
         return Interval(self.lo - margin, self.hi + margin)
 
     def __str__(self):
@@ -195,14 +225,19 @@ def read_int(text: str) -> int:
 
 def read_fraction(text: str) -> Fraction:
     """``Fraction(text)`` at any length: ``p/q`` through ``read_int``, a
-    finite decimal exactly through ``Decimal``, else Fraction's ValueError."""
+    finite decimal exactly through ``Decimal``, else Fraction's ValueError.
+    A decimal whose digits and exponent, written out, pass
+    ``_MAX_DECIMAL_CHARS`` is refused before ``10^|exponent|`` is built."""
     num, slash, den = text.partition("/")
     try:
         if slash:
             return Fraction(read_int(num), read_int(den))
         value = Decimal(text)  # Decimal also takes "_" that no digit follows
-        if value.is_finite() and not _LOOSE_UNDERSCORE.search(text):
-            return Fraction(value)
     except (InvalidOperation, ValueError):
-        pass
-    raise ValueError(f"Invalid literal for Fraction: {text!r}")
+        value = None
+    if value is None or not value.is_finite() or _LOOSE_UNDERSCORE.search(text):
+        raise ValueError(f"Invalid literal for Fraction: {text!r}")
+    _, digits, exponent = value.as_tuple()
+    if len(digits) + abs(exponent) > _MAX_DECIMAL_CHARS:
+        raise ValueError(f"decimal {text!r:.40} has more than 2^20 digits written out")
+    return Fraction(value)

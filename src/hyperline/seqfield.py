@@ -22,8 +22,9 @@ evaluation; Knuth, TAOCP vol. 2, 4.5.1), holding their evaluators rather
 than the operands, so each view costs one call per index.  A verdict needs
 only signs and comparisons with the probe bounds, which cross-multiplication
 gives exactly, so no gcd is taken on a scan; a value is normalised only when
-``at`` returns it as a ``Fraction``.  Leaf terms and constants must be
-exact: ``exact_rational`` refuses a float with ``TypeError``.
+``at`` returns it as a ``Fraction``.  Leaf terms, constants and tolerances
+are read with ``intervals.exact_rational``, which refuses a float or a bool
+with ``TypeError``, and depths and probe counts with ``intervals.exact_int``.
 
 A sequence may carry a closed *monomial form* ``(c, e)``: ``a(n) =
 c * (n+1)^e`` at every ``n >= 0``, with ``e = 0`` whenever ``c = 0``.
@@ -40,8 +41,8 @@ breaks the window: another sign or tag, or a hull wider than
 ``tolerance/2``.  ``shadow`` scans down to index 0, and so does public
 ``compare``, for its least witness.  Every scan whose caller reads only the
 verdict stops at ``depth//2``, all that a verdict needs: ``classify``,
-``arch_compare``, and ``_compare(..., depth//2)`` behind ``dd_cmp`` and the
-other sign checks.
+``arch_compare``, and ``_compare`` at its default floor behind ``dd_cmp``
+and the other sign checks.
 
 A sequence may also carry an integer *bracket* ``bracket(n, k) -> (lo, hi,
 start)`` with ``lo <= a(n) * 2^k <= hi``, cheaper to compute than ``a(n)``
@@ -83,7 +84,7 @@ from typing import Callable, Optional, Tuple
 
 from .errors import (DivisionByZeroAtIndex, NotConvergentAtDepth,
                      UnlimitedValue, ZeroTailAtDepth)
-from .intervals import Interval, _fraction_to_text, grid_bits
+from .intervals import Interval, _fraction_to_text, exact_int, exact_rational, grid_bits
 
 DEFAULT_DEPTH = 4096
 DEFAULT_PROBES = 64
@@ -160,19 +161,6 @@ def _combine_forms(fa: Optional[Form], fb: Optional[Form], op, symbol) -> Option
     return _monomial(op(ca, cb), ea) if ea == eb else None
 
 
-def exact_rational(value, what: str, index: Optional[int] = None) -> Fraction:
-    """``value`` as a ``Fraction``.  A float is refused with ``TypeError``
-    naming ``what`` and the index, if any: its binary value is not the
-    decimal it prints as, and no float enters a verdict."""
-    if type(value) is Fraction:
-        return value
-    if isinstance(value, float):
-        where = "" if index is None else f" at index {index}"
-        raise TypeError(f"{what} {value!r}{where} is a float: "
-                        "pass an int, a Fraction or a string")
-    return Fraction(value)
-
-
 def _coprime_fraction(p: int, q: int) -> Fraction:
     """``Fraction(p, q)`` for a leaf's memoized pair, which is reduced with
     ``q > 0``, without the constructor's gcd: on a partial sum's pair of
@@ -184,9 +172,7 @@ def _coprime_fraction(p: int, q: int) -> Fraction:
 
 def _rational_term_pair(value, n: int) -> Pair:
     """A leaf's term as its reduced pair."""
-    if type(value) is not Fraction and type(value) is not int:
-        value = exact_rational(value, "term", n)
-    return value.as_integer_ratio()
+    return exact_rational(value, "term", n).as_integer_ratio()
 
 
 def _integer_term_pair(value, n: int) -> Pair:
@@ -489,18 +475,14 @@ ONE = Hyperreal.constant(1)
 
 
 def make(source) -> Hyperreal:
-    """Build a Hyperreal from a rational, a builtin name, or a generator."""
+    """A Hyperreal from a builtin name, a generator or an exact rational."""
     if isinstance(source, Hyperreal):
         return source
-    if isinstance(source, (int, Fraction)):
-        return Hyperreal.constant(source)
-    if isinstance(source, str):
-        if source in _BUILTINS:
-            return _BUILTINS[source]
-        return Hyperreal.constant(Fraction(source))
+    if isinstance(source, str) and source in _BUILTINS:
+        return _BUILTINS[source]
     if callable(source):
         return Hyperreal(source)
-    raise TypeError(f"cannot make a Hyperreal from {source!r}")
+    return Hyperreal.constant(source)
 
 
 def _sign(q: Fraction) -> int:
@@ -522,13 +504,12 @@ def compare(a, b, depth: int = DEFAULT_DEPTH) -> CompareResult:
     return _compare(a, b, depth, 0)
 
 
-def _compare(a, b, depth: int, floor: int) -> CompareResult:
+def _compare(a, b, depth: int, floor: int | None = None) -> CompareResult:
     """``compare`` whose scan stops once the window reaches ``floor <=
-    depth//2``.  At ``floor = depth//2`` it reads only ``[depth//2, depth]``,
-    all that the verdict needs; a decided witness is then ``floor``, or 0
-    when forms decide, and not the least one."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+    depth//2``.  At ``floor = depth//2``, the default, it reads only
+    ``[depth//2, depth]``, all that the verdict needs; a decided witness is
+    then ``floor``, or 0 when forms decide, and not the least one."""
+    exact_int(depth, "depth", 1)
     a, b = make(a), make(b)
     gap = _combine_forms(a.form, b.form, operator.sub, "-")
     if gap is not None:
@@ -541,7 +522,7 @@ def _compare(a, b, depth: int, floor: int) -> CompareResult:
         gap = x * v - u * y
         return (gap > 0) - (gap < 0), n
 
-    sign, w = _window(sign_cell, _same, depth, floor)
+    sign, w = _window(sign_cell, _same, depth, depth // 2 if floor is None else floor)
     if 2 * w > depth:
         return _UNDETERMINED
     return CompareResult(_BY_SIGN[sign + 1], w)
@@ -596,8 +577,7 @@ def classify(a, depth: int = DEFAULT_DEPTH, probes: int = DEFAULT_PROBES) -> Cla
     infinitesimal.  Callers pick the probe budget accordingly.  A bracketed
     sequence is filtered at scale ``bits(probes) + bits(depth) + 8``.
     """
-    if depth < 1 or probes < 1:
-        raise ValueError("depth and probes must be >= 1")
+    depth, probes = exact_int(depth, "depth", 1), exact_int(probes, "probes", 1)
     return _classify(make(a), depth, probes,
                      probes.bit_length() + depth.bit_length() + 8)
 
@@ -669,12 +649,9 @@ def shadow(a, tolerance, depth: int = DEFAULT_DEPTH) -> Interval:
     ``tolerance.denominator * 2^k``).  A constant is classified like any other
     sequence (its form makes that two reads) and is then its own point.
     """
-    tolerance = Fraction(tolerance)
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    tolerance = exact_rational(tolerance, "tolerance", positive=True)
     a = make(a)
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+    exact_int(depth, "depth", 1)
     fine = shadow_scale(tolerance, depth)
     k = fine - depth.bit_length() - 3
     if _classify(a, depth, DEFAULT_PROBES, fine) is ClassTag.UNLIMITED:
@@ -789,8 +766,7 @@ def arch_compare(a, b, depth: int = DEFAULT_DEPTH,
     ``|a(n)/b(n)| = |c_a/c_b| (n+1)^(e_a - e_b)`` is monotone in ``n``, as
     is its tag (LOWER < SAME < HIGHER), so the window's two ends decide it.
     """
-    if depth < 1 or probes < 1:
-        raise ValueError("depth and probes must be >= 1")
+    depth, probes = exact_int(depth, "depth", 1), exact_int(probes, "probes", 1)
     a, b = make(a), make(b)
     pa, pb = a.pair, b.pair
 

@@ -28,7 +28,7 @@ from typing import Optional
 from . import seqfield as sf
 from .errors import (ClassUndetermined, NotInfinitesimal, OutOfRange, SignUndetermined,
                      UnlimitedValue)
-from .intervals import Interval
+from .intervals import Interval, exact_int
 from .seqfield import (ArchClass, ClassTag, CompareResult, Hyperreal, Verdict,
                        arch_compare, classify, hyper_floor, make, shadow)
 
@@ -56,7 +56,7 @@ class Idempotent:
             return
         if self.scale is None:
             raise ValueError(f"{self.kind.name} idempotent needs a scale")
-        check = sf._compare(self.scale, 0, self.check_depth, self.check_depth // 2)
+        check = sf._compare(self.scale, 0, self.check_depth)
         if check.verdict is not Verdict.GREATER:
             raise ValueError(
                 f"idempotent scale must verify positive at depth {self.check_depth}"
@@ -109,6 +109,7 @@ ZERO_IDEM = Idempotent.zero()
 def idem_cmp(d1: Idempotent, d2: Idempotent, depth: int = DEFAULT_DEPTH) -> Verdict:
     """Order on idempotents: ZERO < B(a) < A(a); within a kind the scales'
     archimedean classes decide; A(a) < B(b) exactly when class(a) < class(b)."""
+    exact_int(depth, "depth", 1)
     if d1.is_zero and d2.is_zero:
         return Verdict.EQUAL
     if d1.is_zero:
@@ -213,7 +214,7 @@ def _absorbed_by(h: Hyperreal, delta: Idempotent, depth: int,
     A(a) also absorbs its own class (|h|/a appreciable); ZERO absorbs only 0.
     """
     if delta.is_zero:
-        result = sf._compare(h, 0, depth, depth // 2)
+        result = sf._compare(h, 0, depth)
         if result.verdict is Verdict.EQUAL:
             return True
         if result.verdict is Verdict.UNDETERMINED:
@@ -261,7 +262,7 @@ def dd_scalar_mul(b, x: DedekindNumber, depth: int = DEFAULT_DEPTH) -> DedekindN
     routes through negation, flipping the orientation.
     """
     b = make(b)
-    check = sf._compare(b, 0, depth, depth // 2)
+    check = sf._compare(b, 0, depth)
     if check.verdict is Verdict.UNDETERMINED:
         raise SignUndetermined(f"sign of {b.label} undecided at depth {depth}")
     if check.verdict is Verdict.EQUAL:
@@ -324,7 +325,7 @@ def dd_cmp(x: DedekindNumber, y: DedekindNumber, depth: int = DEFAULT_DEPTH,
     if absorbed is None:
         return CompareResult(Verdict.UNDETERMINED, None)
     if not absorbed:
-        return sf._compare(x.h, y.h, depth, depth // 2)
+        return sf._compare(x.h, y.h, depth)
     if x.sign != y.sign:
         verdict = Verdict.LESS if x.sign < y.sign else Verdict.GREATER
         return CompareResult(verdict, 0)
@@ -381,7 +382,7 @@ def eps_part(x: DedekindNumber, eps, depth: int = DEFAULT_DEPTH) -> EpsPartForm:
         raise NotInfinitesimal("eps-part needs a nonzero absorption part")
     if classify(eps, depth) is not ClassTag.INFINITESIMAL:
         raise NotInfinitesimal(f"{eps.label} did not classify infinitesimal")
-    if sf._compare(eps, 0, depth, depth // 2).verdict is not Verdict.GREATER:
+    if sf._compare(eps, 0, depth).verdict is not Verdict.GREATER:
         raise NotInfinitesimal(f"{eps.label} must be positive")
     refined = DedekindNumber(x.h, x.sign, x.delta.scaled(eps, depth))
     return EpsPartForm(refined, eps, True)

@@ -638,14 +638,14 @@ class TestArchClasses:
         with pytest.raises(ZeroTailAtDepth):
             arch_compare(make(0), make(1), depth=64)
 
-    @pytest.mark.parametrize("a, b, depth, probes", [
-        (sf.OMEGA, make(3), 64, 0),
-        (sf.OMEGA, make(3), 0, 64),
-        (sf.OMEGA, make(3), -5, 64),
-        (make(lambda n: F(n + 1)), make(lambda n: F(3)), -5, 64),
+    @pytest.mark.parametrize("a, b, depth, probes, message", [
+        (sf.OMEGA, make(3), 64, 0, "probes must be >= 1"),
+        (sf.OMEGA, make(3), 0, 64, "depth must be >= 1"),
+        (sf.OMEGA, make(3), -5, 64, "depth must be >= 1"),
+        (make(lambda n: F(n + 1)), make(lambda n: F(3)), -5, 64, "depth must be >= 1"),
     ], ids=["probes-0", "depth-0", "depth-negative", "leaves-depth-negative"])
-    def test_refuses_empty_window_or_budget(self, a, b, depth, probes):
-        with pytest.raises(ValueError, match="depth and probes"):
+    def test_refuses_empty_window_or_budget(self, a, b, depth, probes, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             arch_compare(a, b, depth, probes)
 
 

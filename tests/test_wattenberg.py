@@ -268,7 +268,7 @@ def eager_dd_cmp(x, y, depth):
     """``dd_cmp`` with every sign scan run down to index 0, as public
     ``compare`` runs it: the reference the half-window scans must agree with."""
     scan = sf._compare
-    with mock.patch.object(sf, "_compare", lambda a, b, d, floor: scan(a, b, d, 0)):
+    with mock.patch.object(sf, "_compare", lambda a, b, d, floor=None: scan(a, b, d, 0)):
         return dd_cmp(x, y, depth)
 
 
