@@ -9,7 +9,7 @@ time, which caps its own address space and CPU time.  A fork costs a few
 milliseconds where a fresh interpreter costs tens, so the draws fit the
 time budget; the test process forks only while it runs one thread.  A call must end in a
 result, a ``HyperlineError``, or a ``ValueError``/``TypeError`` raised by a
-``raise`` statement under ``src/hyperline/``: an error out of a builtin,
+``raise`` statement in the ``hyperline`` package: an error out of a builtin,
 ``fractions`` or ``decimal``, a crash and a timeout all fail.  The example
 counts are fixed and the draws derandomized, so the suite makes the same
 calls every time.
@@ -42,13 +42,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import hyperline
 from hyperline import extsum as es, goldbach as gb, hermite as hm, seqfield as sf
 from hyperline import wattenberg as wb
 from hyperline.errors import HyperlineError
 from hyperline.intervals import Interval, exact_int, exact_rational, read_fraction
 
 F = Fraction
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hyperline"
+PACKAGE = Path(hyperline.__file__).resolve().parent
 CPU_SECONDS = 10
 WALL_SECONDS = 60
 SPARE_ADDRESS_SPACE = 1 << 30
@@ -165,7 +166,7 @@ CALLS = {
 
 def _ending(call) -> dict:
     """How ``call()`` ends: its ``kind`` ("result", "hyperline", "refused" for
-    a ValueError or TypeError raised under src/hyperline/, or "escaped"), the
+    a ValueError or TypeError raised in the package, or "escaped"), the
     exception's type name and message, and where it was raised."""
     try:
         call()
